@@ -78,10 +78,10 @@ func BenchmarkEq26AnalyticHorizon(b *testing.B)       { benchExperiment(b, "eq26
 func BenchmarkModelVsSimulationFit(b *testing.B)      { benchExperiment(b, "modelfit") }
 func BenchmarkDelayQuantiles(b *testing.B)            { benchExperiment(b, "delay") }
 
-// --- batched sweep benchmarks ---
+// --- dense sweep benchmarks ---
 
-// benchSweepGrid builds the dense Fig. 7-style buffer×cutoff grid the
-// batched solver targets: 32 buffers in 2.5% steps (adjacent cells differ
+// benchSweepGrid builds the dense Fig. 7-style buffer×cutoff grid warm
+// starts target: 32 buffers in 2.5% steps (adjacent cells differ
 // little, so a converged occupancy vector seeds its neighbor well) × 32
 // log-spaced cutoffs, 1024 cells total.
 func benchSweepGrid(b *testing.B) (core.TraceModel, []float64, []float64) {
@@ -112,10 +112,10 @@ func benchSweepGrid(b *testing.B) (core.TraceModel, []float64, []float64) {
 }
 
 // benchDenseSweep times LossVsBufferAndCutoff over the dense grid and
-// reports ns/cell — the unit the batching refactor is judged in.
+// reports ns/cell — the unit warm starts are judged in.
 func benchDenseSweep(b *testing.B, name string, warm bool) {
 	tm, buffers, cutoffs := benchSweepGrid(b)
-	// The tight RelGap is the regime the refactor targets: the Clegg
+	// The tight RelGap is the regime warm starts target: the Clegg
 	// critique's "dense, accurate grids" — cold solves pay many fine-rung
 	// iterations, which is precisely what a neighbor's converged occupancy
 	// vector skips.
@@ -140,16 +140,14 @@ func benchDenseSweep(b *testing.B, name string, warm bool) {
 	recordBench(b, name, nsPerCell, b.N)
 }
 
-// BenchmarkSweepPerCell is the baseline: the seeded per-cell path (each
-// cell realizes its own source and runs a cold solve from the coarse
-// M-doubling ladder), exactly what every sweep paid before batching.
+// BenchmarkSweepPerCell is the baseline: every cell runs a cold solve from
+// the coarse M-doubling ladder.
 func BenchmarkSweepPerCell(b *testing.B) { benchDenseSweep(b, "SweepPerCell", false) }
 
-// BenchmarkBatchSweep is the warm-chained batch over the identical grid:
-// shared arena, per-column realized sources, and each cell seeded from its
-// buffer-axis neighbor. BENCH_solver.json then carries both ns/cell
-// figures, so the speedup claim is a ratio of committed artifacts (CI
-// asserts ≥ 3×).
+// BenchmarkBatchSweep is the warm-chained sweep over the identical grid:
+// each cell is seeded from its buffer-axis neighbor. BENCH_solver.json then
+// carries both ns/cell figures, so the speedup claim is a ratio of
+// committed artifacts (CI asserts ≥ 3×).
 func BenchmarkBatchSweep(b *testing.B) { benchDenseSweep(b, "BatchSweep", true) }
 
 // --- component micro-benchmarks ---
@@ -202,14 +200,14 @@ func recordBench(b *testing.B, name string, nsPerOp float64, iters int) {
 
 // benchSolve times lrd.Solve with the given config and records the result
 // under name in benchResultsFile.
-func benchSolve(b *testing.B, name string, cfg lrd.SolverConfig) {
+func benchSolve(b *testing.B, name string, opts ...lrd.Option) {
 	b.Helper()
 	q := benchQueue(b, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, err := lrd.Solve(q, cfg); err != nil {
+		if _, err := lrd.Solve(q, lrd.SolverConfig{}, opts...); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -223,16 +221,15 @@ func benchSolve(b *testing.B, name string, cfg lrd.SolverConfig) {
 // attached — the baseline the ±2 % no-regression acceptance bar compares
 // against.
 func BenchmarkSolveOnOff(b *testing.B) {
-	benchSolve(b, "SolveOnOff", lrd.SolverConfig{})
+	benchSolve(b, "SolveOnOff")
 }
 
 // BenchmarkSolveInstrumented is the identical solve with a live metrics
 // registry and a trace sink attached; comparing it against SolveOnOff in
 // BENCH_solver.json gives the observed telemetry overhead.
 func BenchmarkSolveInstrumented(b *testing.B) {
-	cfg := lrd.RecorderConfig(lrd.SolverConfig{}, lrd.NewMetricsRegistry())
-	cfg = lrd.TracedConfig(cfg, func(lrd.TracePoint) {})
-	benchSolve(b, "SolveInstrumented", cfg)
+	benchSolve(b, "SolveInstrumented",
+		lrd.WithRecorder(lrd.NewMetricsRegistry()), lrd.WithTrace(func(lrd.TracePoint) {}))
 }
 
 // BenchmarkSolveNilRecorder is the tracing layer's allocation guard: the

@@ -19,7 +19,6 @@ func TestSharedFlagsMatchCanon(t *testing.T) {
 	if err := cliflags.CheckUsage(usage,
 		"metrics", "trace", "progress", "pprof",
 		"journal", "resume", "compact-mb", "worker-id", "lease-ttl", "timeout",
-		"batch",
 	); err != nil {
 		t.Fatal(err)
 	}

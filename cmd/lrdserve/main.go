@@ -104,7 +104,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	jflags := cliflags.JournalGroup(fs)
 	lease := cliflags.LeaseGroup(fs)
 	oflags := cliflags.ObsGroup(fs)
-	batch := cliflags.BatchFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -133,7 +132,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Solver:         solver.Config{RelGap: *relGap, MaxBins: *maxBins},
 		RateLimit:      *rateLimit,
 		RateBurst:      *rateBurst,
-		Batch:          *batch,
 		Registry:       cli.Registry(), // /metrics and the -metrics snapshot share one registry
 		SpanSink:       cli.SpanSink(), // -trace: request/lease/solve/append spans as JSONL
 		Logger:         reqLogger,

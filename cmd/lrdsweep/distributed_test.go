@@ -100,9 +100,6 @@ func TestRunDistributedFourWorkersBitIdentity(t *testing.T) {
 // survivors re-lease its stranded cells and finish — each writing a TSV
 // byte-identical to a clean single-process run. SIGKILL (not SIGINT) is the
 // point: the victim gets no chance to release leases or flush anything.
-// The fleet runs -batch while the clean reference does not: exact-mode
-// batching must stay bit-invisible even through crash recovery, adoption,
-// and lease stealing.
 func TestRunDistributedSurvivesSIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real sweep subprocesses")
@@ -120,7 +117,7 @@ func TestRunDistributedSurvivesSIGKILL(t *testing.T) {
 
 	jpath := filepath.Join(dir, "shared.journal")
 	worker := func(id string) *exec.Cmd {
-		argv := []string{"-exp", "fig4", "-quick", "-seed", "3", "-batch",
+		argv := []string{"-exp", "fig4", "-quick", "-seed", "3",
 			"-journal", jpath, "-worker-id", id, "-workers", "2",
 			"-lease-ttl", "1s", "-out", filepath.Join(dir, id+".tsv")}
 		cmd := exec.Command(os.Args[0])

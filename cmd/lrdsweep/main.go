@@ -38,18 +38,13 @@
 // Journaling, leasing, and retries still run locally, so -journal/-resume
 // and the output bytes behave exactly as in a local run.
 //
-// Batched solving: -batch shares solver scratch memory — FFT workspaces,
-// step buffers, refinement tables — across the sweep's cells through one
-// arena, and realizes each cutoff column's source once. Results, TSVs, and
-// journals stay byte-identical to an unbatched run, so -batch composes
-// freely with -journal/-resume and fleets. -warm (implies -batch)
-// additionally chains cross-cell warm starts up each buffer column of the
-// buffer×cutoff experiments: a cell's bound iteration starts from its
-// smaller-buffer neighbor's solved occupancy vectors, skipping the coarse
-// resolution ladder. The loss bounds remain valid at every iteration, but
-// they land elsewhere inside the bracket than a cold solve's, so warm
-// journals are namespaced (warm=1) and warm TSVs differ from cold ones in
-// the bounds' low-order digits.
+// Warm starts: -warm chains cross-cell warm starts up each buffer column
+// of the buffer×cutoff experiments: a cell's bound iteration starts from
+// its smaller-buffer neighbor's solved occupancy vectors, skipping the
+// coarse resolution ladder. The loss bounds remain valid at every
+// iteration, but they land elsewhere inside the bracket than a cold
+// solve's, so warm journals are namespaced (warm=1) and warm TSVs differ
+// from cold ones in the bounds' low-order digits.
 //
 // Journal maintenance: -compact rewrites the -journal to one record per key
 // (atomic replace) and exits; -compact-mb does the same automatically on
@@ -134,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jflags := cliflags.JournalGroup(fs)
 	lease := cliflags.LeaseGroup(fs)
 	workers := cliflags.WorkersFlag(fs)
-	batch := cliflags.BatchGroup(fs)
+	warm := cliflags.WarmFlag(fs)
 	retry := cliflags.RetryGroup(fs)
 	oflags := cliflags.ObsGroup(fs)
 	sflags := cliflags.StatusGroup(fs)
@@ -224,7 +219,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts := core.RunOptions{
 		Seed: *seed, Quick: *quick, PointTimeout: *pointBudget.PointTimeout,
 		Retry: retry.Policy(), Workers: *workers,
-		Batch: *batch.Batch, WarmStarts: *batch.Warm,
+		WarmStarts: *warm,
 	}
 	opts.Solver.Recorder = cli.Recorder()
 	fft.SetRecorder(cli.Recorder())

@@ -366,23 +366,6 @@ func TestRunRejectsUnknownModel(t *testing.T) {
 	}
 }
 
-// TestBatchTSVByteIdentical is the command-level golden check for exact
-// batch mode: -batch must produce a TSV byte-identical to the unbatched
-// run.
-func TestBatchTSVByteIdentical(t *testing.T) {
-	code, plain, stderr := runCapture("-exp", "fig4", "-quick")
-	if code != 0 {
-		t.Fatalf("plain run exit %d: %s", code, stderr)
-	}
-	code, batched, stderr := runCapture("-exp", "fig4", "-quick", "-batch")
-	if code != 0 {
-		t.Fatalf("batch run exit %d: %s", code, stderr)
-	}
-	if batched != plain {
-		t.Fatalf("-batch TSV differs from unbatched run:\n--- batch ---\n%s\n--- plain ---\n%s", batched, plain)
-	}
-}
-
 // TestWarmTSVDeterministicAndBracketed: -warm output is reproducible run to
 // run, and every warm row still brackets its loss (the valid-bounds
 // contract); it is allowed to differ from the cold TSV only in bound

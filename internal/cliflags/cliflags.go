@@ -223,28 +223,11 @@ func (s *StatusFlags) Options() fleetstatus.Options {
 	return fleetstatus.Options{ExpectedCells: *s.ExpectCells}
 }
 
-// Batch is the shared batch-solving flag group: -batch shares solver
-// buffers and plans across a run's cells (bit-identical results), -warm
-// additionally chains cross-cell warm starts along the buffer axis where a
-// sweep supports it (valid bounds, but not bit-identical to cold solves —
-// see core.SweepConfig). -warm implies -batch.
-type Batch struct {
-	Batch *bool
-	Warm  *bool
-}
-
-// BatchGroup registers -batch and -warm on fs.
-func BatchGroup(fs *flag.FlagSet) *Batch {
-	return &Batch{
-		Batch: fs.Bool("batch", false, canon["batch"].Usage),
-		Warm:  fs.Bool("warm", false, canon["warm"].Usage),
-	}
-}
-
-// BatchFlag registers only -batch on fs, for commands with no warm-startable
-// sweep axis (lrdserve).
-func BatchFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("batch", false, canon["batch"].Usage)
+// WarmFlag registers -warm on fs: chain cross-cell warm starts along the
+// buffer axis where a sweep supports it (valid bounds, but not
+// bit-identical to cold solves — see core.SweepConfig).
+func WarmFlag(fs *flag.FlagSet) *bool {
+	return fs.Bool("warm", false, canon["warm"].Usage)
 }
 
 // Retry is the shared per-cell retry flag group.
@@ -336,8 +319,7 @@ var canon = map[string]FlagSpec{
 	"point-timeout":    {"point-timeout", "", "wall-clock budget per solver cell (0 = none)"},
 	"model":            {"model", `(default "fluid")`, ""}, // usage is registry-derived; checked by name+default only
 	"model-params":     {"model-params", "", "model parameters as key=value,… applied to every -model entry"},
-	"batch":            {"batch", "", "share solver buffers and plans across cells (results stay bit-identical to unbatched runs)"},
-	"warm":             {"warm", "", "chain cross-cell warm starts along the buffer axis (implies -batch; bounds stay valid but differ bitwise from cold solves, so journals are namespaced)"},
+	"warm":             {"warm", "", "chain cross-cell warm starts along the buffer axis (bounds stay valid but differ bitwise from cold solves, so journals are namespaced)"},
 	"fleet":            {"fleet", "", "offload solves to these lrdserve replicas (comma-separated base URLs) via the resilient fleet client"},
 	"attempts":         {"attempts", "(default 4)", "total tries per fleet request, first attempt included"},
 	"hedge-after":      {"hedge-after", "", "duplicate a slow fleet request to a second replica after this delay (0 = no hedging)"},

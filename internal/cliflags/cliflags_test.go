@@ -22,7 +22,7 @@ func newFlagSet() (*flag.FlagSet, *Obs, *Journal, *Retry, *Budget, *PointBudget,
 	r := RetryGroup(fs)
 	b := BudgetGroup(fs)
 	p := PointBudgetGroup(fs)
-	BatchGroup(fs)
+	WarmFlag(fs)
 	ModelGroup(fs)
 	return fs, o, j, r, b, p, &buf
 }
@@ -39,7 +39,7 @@ func TestCanonMatchesRegistrations(t *testing.T) {
 		"metrics", "trace", "progress", "pprof",
 		"journal", "resume", "retries", "retry-backoff",
 		"timeout", "point-timeout", "model", "model-params",
-		"batch", "warm",
+		"warm",
 	); err != nil {
 		t.Fatal(err)
 	}

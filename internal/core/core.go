@@ -376,22 +376,31 @@ func computeCell(ctx context.Context, cfg SweepConfig, fullKey string, compute f
 	}
 }
 
-// solveCell runs the solver on one parameter cell for any traffic model.
+// solveCell runs the solver on one parameter cell for any traffic model,
+// warm-started from seed when it is non-nil (a nil seed solves cold). It
+// returns the seed for the cell's next larger-buffer neighbor (nil when the
+// result carries no usable occupancy vectors).
 // Cancellation or budget expiry never errors: the cell comes back with its
 // best-so-far bracket and a nonempty Degraded reason. The reported Cutoff
 // and Hurst are the source's *reference* coordinates (the grid cell it
 // models), so non-fluid cells land in the same table rows as fluid ones.
-func solveCell(ctx context.Context, src source.Source, util, nbuf float64, cfg solver.Config) (Point, error) {
+func solveCell(ctx context.Context, src source.Source, util, nbuf float64, cfg solver.Config, seed *solver.Seed) (Point, *solver.Seed, error) {
 	m, err := solver.NewModelNormalized(src, util, nbuf)
 	if err != nil {
-		return Point{}, err
+		return Point{}, nil, err
 	}
-	res, err := solver.SolveModelContext(ctx, m, cfg)
+	res, err := solver.SolveModelSeeded(ctx, m, cfg, seed)
 	if err != nil {
-		return Point{}, err
+		return Point{}, nil, err
 	}
 	if res.Degraded != "" && cfg.Recorder != nil {
 		cfg.Recorder.Add(obs.MetricCoreCellsDegraded, 1)
+	}
+	next := solver.SeedFromResult(m, res)
+	if next != nil && seed != nil && seed.Iterations > next.Iterations {
+		// Keep the chain head's cost as the running cold-cost estimate for
+		// the iterations-saved metric.
+		next.Iterations = seed.Iterations
 	}
 	return Point{
 		NormalizedBuffer: nbuf,
@@ -404,14 +413,27 @@ func solveCell(ctx context.Context, src source.Source, util, nbuf float64, cfg s
 		Upper:            res.Upper,
 		Converged:        res.Converged,
 		Degraded:         res.Degraded,
-	}, nil
+	}, next, nil
 }
 
-// realizeCell transforms one cell's reference fluid source into the
-// sweep's configured traffic model (SweepConfig.Model; the zero spec is
-// the fluid identity) and solves it. Models fitted by approximation (e.g.
-// markov) surface their correlation-fit error through the
-// MetricSourceFitMaxError gauge.
+// realizeModel transforms a reference fluid source into the sweep's
+// configured traffic model (SweepConfig.Model; the zero spec is the fluid
+// identity). Models fitted by approximation (e.g. markov) surface their
+// correlation-fit error through the MetricSourceFitMaxError gauge.
+func realizeModel(cfg SweepConfig, ref fluid.Source) (source.Source, error) {
+	s, err := cfg.Model.Realize(ref)
+	if err != nil {
+		return nil, err
+	}
+	if fq, ok := s.(source.FitQuality); ok && cfg.Solver.Recorder != nil {
+		cfg.Solver.Recorder.Set(obs.MetricSourceFitMaxError, fq.FitMaxError())
+	}
+	return s, nil
+}
+
+// realizeCell realizes one cell's reference fluid source as the sweep's
+// traffic model and solves it cold, or hands the cell to the remote fleet
+// when one is configured.
 func realizeCell(ctx context.Context, cfg SweepConfig, ref fluid.Source, util, nbuf float64) (Point, error) {
 	if cfg.Remote != nil {
 		p, err := cfg.Remote(ctx, RemoteCell{
@@ -426,14 +448,31 @@ func realizeCell(ctx context.Context, cfg SweepConfig, ref fluid.Source, util, n
 		}
 		return p, nil
 	}
-	s, err := cfg.Model.Realize(ref)
+	s, err := realizeModel(cfg, ref)
 	if err != nil {
 		return Point{}, err
 	}
-	if fq, ok := s.(source.FitQuality); ok && cfg.Solver.Recorder != nil {
-		cfg.Solver.Recorder.Set(obs.MetricSourceFitMaxError, fq.FitMaxError())
+	p, _, err := solveCell(ctx, s, util, nbuf, cfg.Solver, nil)
+	return p, err
+}
+
+// newColumnCache memoizes per-column realized sources: a sweep realizes
+// each cutoff column's source once and shares it across the column's
+// cells. Source realization is deterministic, so the shared source is
+// bit-identical to per-cell realization — only the redundant work (trace
+// stats, correlation fits) disappears.
+func newColumnCache(n int, realize func(int) (source.Source, error)) func(int) (source.Source, error) {
+	type entry struct {
+		once sync.Once
+		src  source.Source
+		err  error
 	}
-	return solveCell(ctx, s, util, nbuf, cfg.Solver)
+	entries := make([]entry, n)
+	return func(c int) (source.Source, error) {
+		e := &entries[c]
+		e.once.Do(func() { e.src, e.err = realize(c) })
+		return e.src, e.err
+	}
 }
 
 // LossVsBufferAndCutoff computes the model loss surface of Figs. 4 and 5:
@@ -441,34 +480,29 @@ func realizeCell(ctx context.Context, cfg SweepConfig, ref fluid.Source, util, n
 // utilization. On context cancellation it returns the completed cells
 // alongside the context error, so a sweep always yields its partial rows.
 //
-// This is the batch-first sweep: with cfg.Batch the cells share one solver
-// arena and each cutoff column's realized source (bit-identical results);
-// with cfg.WarmStarts each column additionally runs as an ascending-buffer
-// warm-start chain (valid bounds, different low-order digits, namespaced
-// journal — see SweepConfig).
+// Local cells share each cutoff column's realized source (bit-identical
+// results); with cfg.WarmStarts each column additionally runs as an
+// ascending-buffer warm-start chain (valid bounds, different low-order
+// digits, namespaced journal — see SweepConfig).
 func LossVsBufferAndCutoff(ctx context.Context, tm TraceModel, util float64, buffers, cutoffs []float64, cfg SweepConfig) ([]Point, error) {
 	if len(buffers) == 0 || len(cutoffs) == 0 {
 		return nil, errors.New("core: empty parameter grid")
 	}
-	cfg = cfg.withBatchArena()
 	nc := len(cutoffs)
 	n := len(buffers) * nc
 	key := func(i int) string {
 		return "bufcut|u=" + fkey(util) + "|b=" + fkey(buffers[i/nc]) + "|tc=" + fkey(cutoffs[i%nc])
 	}
-	var realized func(int) (source.Source, error)
-	if cfg.batchLocal() {
-		realized = newColumnCache(nc, func(c int) (source.Source, error) {
-			ref, err := tm.Source(cutoffs[c])
-			if err != nil {
-				return nil, err
-			}
-			return realizeModel(cfg, ref)
-		})
-	}
+	realized := newColumnCache(nc, func(c int) (source.Source, error) {
+		ref, err := tm.Source(cutoffs[c])
+		if err != nil {
+			return nil, err
+		}
+		return realizeModel(cfg, ref)
+	})
 	compute := func(ctx context.Context, i int, seed *solver.Seed) (Point, *solver.Seed, error) {
 		b := buffers[i/nc]
-		if realized == nil {
+		if cfg.Remote != nil {
 			src, err := tm.Source(cutoffs[i%nc])
 			if err != nil {
 				return Point{}, nil, err
@@ -480,12 +514,12 @@ func LossVsBufferAndCutoff(ctx context.Context, tm TraceModel, util float64, buf
 		if err != nil {
 			return Point{}, nil, err
 		}
-		return solveCellSeeded(ctx, s, util, b, cfg.Solver, seed)
+		return solveCell(ctx, s, util, b, cfg.Solver, seed)
 	}
 	if cfg.WarmStarts && cfg.Remote == nil {
 		// Warm results differ from cold ones in their low-order digits, so
-		// they journal under their own namespace: a warm run never replays an
-		// exact journal and vice versa.
+		// they journal under their own namespace: a warm run never replays a
+		// cold journal and vice versa.
 		cfg.Prefix += "warm=1|"
 		return gridSweepChained(ctx, cfg, n, bufferChains(buffers, nc), key, compute)
 	}
@@ -502,7 +536,6 @@ func LossVsCutoffFixedTheta(ctx context.Context, marginal dist.Marginal, util, n
 	if len(cutoffs) == 0 {
 		return nil, errors.New("core: empty cutoff grid")
 	}
-	cfg = cfg.withBatchArena()
 	alpha := dist.AlphaFromHurst(hurst)
 	keyBase := "cutfix|u=" + fkey(util) + "|b=" + fkey(nbuf) + "|th=" + fkey(theta) + "|h=" + fkey(hurst)
 	return gridSweep(ctx, cfg, len(cutoffs),
@@ -523,7 +556,6 @@ func LossVsHurstAndScale(ctx context.Context, tm TraceModel, util, nbuf float64,
 	if len(hursts) == 0 || len(scales) == 0 {
 		return nil, errors.New("core: empty parameter grid")
 	}
-	cfg = cfg.withBatchArena()
 	keyBase := "hscale|u=" + fkey(util) + "|b=" + fkey(nbuf)
 	return gridSweep(ctx, cfg, len(hursts)*len(scales),
 		func(i int) string {
@@ -554,7 +586,6 @@ func LossVsHurstAndStreams(ctx context.Context, tm TraceModel, util, nbuf float6
 	if len(hursts) == 0 || len(streams) == 0 {
 		return nil, errors.New("core: empty parameter grid")
 	}
-	cfg = cfg.withBatchArena()
 	// Precompute superposed marginals (shared across Hurst values).
 	margs := make([]dist.Marginal, len(streams))
 	for j, n := range streams {
@@ -595,7 +626,6 @@ func LossVsBufferAndScale(ctx context.Context, tm TraceModel, util float64, buff
 	if len(buffers) == 0 || len(scales) == 0 {
 		return nil, errors.New("core: empty parameter grid")
 	}
-	cfg = cfg.withBatchArena()
 	return gridSweep(ctx, cfg, len(buffers)*len(scales),
 		func(i int) string {
 			return "bscale|u=" + fkey(util) + "|b=" + fkey(buffers[i/len(scales)]) + "|a=" + fkey(scales[i%len(scales)])

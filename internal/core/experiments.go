@@ -92,11 +92,8 @@ type RunOptions struct {
 	// Remote, when non-nil, sends each cell's realize+solve to a remote
 	// fleet instead of the in-process solver (see SweepConfig.Remote).
 	Remote RemoteSolveFunc
-	// Batch enables exact batch-mode solving — shared arena and per-column
-	// source reuse, bit-identical results (see SweepConfig.Batch).
-	Batch bool
-	// WarmStarts additionally chains cross-cell warm starts along the
-	// buffer axis (see SweepConfig.WarmStarts). Implies Batch.
+	// WarmStarts chains cross-cell warm starts along the buffer axis (see
+	// SweepConfig.WarmStarts).
 	WarmStarts bool
 }
 
@@ -126,7 +123,6 @@ func (o RunOptions) sweepConfig(id string) SweepConfig {
 		Prefix:  fmt.Sprintf("%s|seed=%d|quick=%t|cfg=%s|model=%s|", id, o.Seed, o.Quick, ConfigHash(cfg), o.Model.Key()),
 		Workers: o.Workers,
 		Remote:  o.Remote,
-		Batch:   o.Batch,
 		// Warm sweeps namespace their own journal keys (see
 		// LossVsBufferAndCutoff), so the prefix here stays shared.
 		WarmStarts: o.WarmStarts,

@@ -67,9 +67,8 @@ type ProvisionOptions struct {
 	Tol float64
 	// MaxSolves caps forward solves (default DefaultMaxProvisionSolves).
 	MaxSolves int
-	// Solver configures the forward solves. Provision shares one
-	// solver.Arena across all its iterates (attaching one if none is set)
-	// and threads warm-start seeds through the buffer chain.
+	// Solver configures the forward solves. Provision threads warm-start
+	// seeds through the buffer chain.
 	Solver solver.Config
 }
 
@@ -209,10 +208,10 @@ func (p *prober) solve(ctx context.Context, serviceRate, buffer float64, seed *s
 // the SLO. It is a bracketed bisection on the solver's monotone loss —
 // decreasing in buffer, increasing in utilization — so every step keeps a
 // proven two-sided bracket and the solve count is logarithmic in the
-// bracket width. Successive iterates are near-identical queues: the solves
-// share one arena, and the buffer search threads warm-start seeds along
-// its ascending-buffer moves (the direction the warm-start coupling
-// argument permits), so later iterates cost a fraction of the first.
+// bracket width. Successive iterates are near-identical queues: the buffer
+// search threads warm-start seeds along its ascending-buffer moves (the
+// direction the warm-start coupling argument permits), so later iterates
+// cost a fraction of the first.
 func Provision(ctx context.Context, src source.Source, opts ProvisionOptions) (Provisioned, error) {
 	if !(opts.SLO > 0 && opts.SLO < 1) {
 		return Provisioned{}, fmt.Errorf("core: SLO must be in (0, 1), got %g", opts.SLO)
@@ -225,9 +224,6 @@ func Provision(ctx context.Context, src source.Source, opts ProvisionOptions) (P
 	}
 	if opts.MaxSolves <= 0 {
 		opts.MaxSolves = DefaultMaxProvisionSolves
-	}
-	if opts.Solver.Arena == nil {
-		opts.Solver.Arena = solver.NewArena()
 	}
 	// The solver's budget machinery may degrade a single forward solve to a
 	// best-so-far bracket; an inverse solve built on degraded losses would
@@ -366,8 +362,7 @@ func provisionService(ctx context.Context, src source.Source, opts ProvisionOpti
 
 	p := &prober{src: src, cfg: opts.Solver, slo: opts.SLO, max: opts.MaxSolves}
 	// Each iterate changes the service rate, so warm seeds never transfer
-	// (the seed compatibility contract pins the service rate); the shared
-	// arena still recycles every iterate's scratch.
+	// (the seed compatibility contract pins the service rate).
 	resLo, _, feasLo, err := p.solve(ctx, mean/lo, opts.Buffer, nil)
 	if err != nil {
 		return Provisioned{}, err

@@ -320,21 +320,13 @@ type SweepConfig struct {
 	// resilient client) instead of the in-process solver. Journaling,
 	// leasing, and retries still run locally — only the numeric work moves.
 	Remote RemoteSolveFunc
-	// Batch enables exact batch mode: the sweep's cells share one
-	// solver.Arena (FFT workspaces, step buffers, refinement tables) and
-	// buffer×cutoff sweeps realize each cutoff column's source once. Every
-	// cell still starts cold, so results — and therefore TSVs and journals —
-	// are bit-identical to the unbatched path, and the journal prefix is
-	// unchanged: batched and unbatched runs resume each other freely.
-	// Ignored for cells delegated to a remote fleet.
-	Batch bool
-	// WarmStarts additionally chains cross-cell warm starts along the
-	// buffer axis where a sweep supports it (LossVsBufferAndCutoff): each
-	// cell's bound iteration is seeded from its smaller-buffer neighbor's
-	// final occupancy vectors. Bounds stay provably valid (see solver.Seed)
-	// but land elsewhere inside the bracket than a cold solve's, so warm
-	// sweeps journal under a "warm=1|"-extended prefix and never share
-	// journals with exact runs. Implies Batch; ignored for remote cells.
+	// WarmStarts chains cross-cell warm starts along the buffer axis where
+	// a sweep supports it (LossVsBufferAndCutoff): each cell's bound
+	// iteration is seeded from its smaller-buffer neighbor's final
+	// occupancy vectors. Bounds stay provably valid (see solver.Seed) but
+	// land elsewhere inside the bracket than a cold solve's, so warm sweeps
+	// journal under a "warm=1|"-extended prefix and never share journals
+	// with cold runs. Ignored for remote cells.
 	WarmStarts bool
 }
 

@@ -9,8 +9,8 @@ import (
 // TestConvolveRealIntoBitIdentical drives ConvolveRealInto across both the
 // direct and FFT paths, reusing one Scratch between calls of different
 // sizes, and requires bitwise equality with ConvolveReal for every output
-// element. The solver's batch mode leans on exactly this guarantee to keep
-// batched sweeps byte-identical to unbatched ones.
+// element. The solver's pooled scratch leans on exactly this guarantee:
+// a result never depends on which Scratch its solve borrowed.
 func TestConvolveRealIntoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var s Scratch

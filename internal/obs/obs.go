@@ -54,9 +54,8 @@ const (
 	MetricSolverConvolveDirect  = "solver_convolve_direct_total"
 	MetricSolverConvolveFFT     = "solver_convolve_fft_total"
 
-	// Batched solving (solver.Arena / solver.Batch): scratch-buffer reuse
-	// and cross-cell warm-start accounting.
-	MetricSolverArenaReuse    = "solver_arena_reuse_total"           // scratch sets served from the arena pool
+	// Solver scratch pooling and cross-cell warm-start accounting.
+	MetricSolverArenaReuse    = "solver_arena_reuse_total"           // scratch sets served from the solver's pool
 	MetricSolverArenaAlloc    = "solver_arena_alloc_total"           // scratch sets newly allocated
 	MetricSolverWarmSolves    = "solver_warm_solves_total"           // solves seeded from a neighbor's occupancy vectors
 	MetricSolverWarmRejected  = "solver_warm_rejected_total"         // incompatible seeds solved cold instead
@@ -277,6 +276,31 @@ func (h *Histogram) Mean() float64 {
 	return h.Sum() / float64(n)
 }
 
+// UpperQuantile returns the upper bound of the bucket holding the q-th
+// quantile sample (the ⌈q·n⌉-th smallest of n), an allocation-free upper
+// bound on the q-quantile for hot-path readers. n is the sum of the bucket
+// loads, so concurrent writers cannot push the rank past the buckets.
+// Returns NaN when empty.
+func (h *Histogram) UpperQuantile(q float64) float64 {
+	var loads [histBucket]uint64
+	var n uint64
+	for i := range h.counts {
+		loads[i] = h.counts[i].Load()
+		n += loads[i]
+	}
+	if n == 0 {
+		return math.NaN()
+	}
+	rank := min(max(uint64(math.Ceil(q*float64(n))), 1), n)
+	var seen uint64
+	for i, c := range loads {
+		if seen += c; seen >= rank {
+			return bucketUpper(i)
+		}
+	}
+	return math.Inf(1)
+}
+
 // atomicAddFloat CAS-accumulates delta into a float64 stored as bits.
 func atomicAddFloat(bits *atomic.Uint64, delta float64) {
 	for {
@@ -459,24 +483,26 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // snapshotHistogram copies one histogram's atomics into an exported
-// snapshot, including the estimated tail quantiles.
+// snapshot, including the estimated tail quantiles. Count is the sum of
+// the bucket loads copied, not a separate load of the running count, so a
+// snapshot taken during writes is still self-consistent: no cumulative
+// bucket can exceed Count.
 func snapshotHistogram(h *Histogram) HistogramSnapshot {
 	hs := HistogramSnapshot{
-		Count: h.Count(),
-		Sum:   h.Sum(),
-		Mean:  h.Mean(),
-		Min:   math.Float64frombits(h.min.Load()),
-		Max:   math.Float64frombits(h.max.Load()),
-	}
-	if hs.Count == 0 {
-		hs.Min, hs.Max, hs.Mean = 0, 0, 0
+		Sum: h.Sum(),
+		Min: math.Float64frombits(h.min.Load()),
+		Max: math.Float64frombits(h.max.Load()),
 	}
 	for i := 0; i < histBucket; i++ {
 		if c := h.counts[i].Load(); c > 0 {
 			hs.Buckets = append(hs.Buckets, Bucket{Le: bucketUpper(i), Count: c})
+			hs.Count += c
 		}
 	}
-	if hs.Count > 0 {
+	if hs.Count == 0 {
+		hs.Min, hs.Max = 0, 0
+	} else {
+		hs.Mean = hs.Sum / float64(hs.Count)
 		hs.P50 = hs.Quantile(0.50)
 		hs.P90 = hs.Quantile(0.90)
 		hs.P99 = hs.Quantile(0.99)

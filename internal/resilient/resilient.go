@@ -157,7 +157,7 @@ type Client struct {
 	transport http.RoundTripper
 	rec       obs.Recorder
 	next      atomic.Uint64 // round-robin cursor over replicas
-	lat       latencyHist   // successful-request latencies, feeds HedgeQuantile
+	lat       obs.Histogram // successful-request seconds, feeds HedgeQuantile
 
 	// Injectable time and randomness, for the fake-clock unit suite.
 	now     func() time.Time
@@ -389,17 +389,22 @@ func (c *Client) pickHedge(primary *replica) *replica {
 	return nil
 }
 
+// minHedgeSamples gates the adaptive hedge delay: below this many
+// observations the quantile is noise and the static HedgeAfter rules.
+const minHedgeSamples = 8
+
 // hedgeDelay returns the in-flight duration after which a request is
-// hedged; 0 disables.
+// hedged; 0 disables. The adaptive delay is the top of the latency bucket
+// holding the HedgeQuantile — coarse (factor-of-two) resolution, which is
+// plenty for a hedge trigger.
 func (c *Client) hedgeDelay() time.Duration {
 	p := c.policy
-	if p.HedgeQuantile > 0 && p.HedgeQuantile < 1 {
-		if q, ok := c.lat.quantile(p.HedgeQuantile); ok {
-			if q < p.HedgeAfter {
-				return p.HedgeAfter
-			}
-			return q
+	if p.HedgeQuantile > 0 && p.HedgeQuantile < 1 && c.lat.Count() >= minHedgeSamples {
+		q := time.Duration(c.lat.UpperQuantile(p.HedgeQuantile) * float64(time.Second))
+		if q < p.HedgeAfter {
+			return p.HedgeAfter
 		}
+		return q
 	}
 	return p.HedgeAfter
 }
@@ -519,7 +524,7 @@ func (c *Client) roundTrip(ctx context.Context, rep *replica, method, path strin
 	if !failure(hres.StatusCode) {
 		// Only successful latencies feed the hedge trigger: fast failures
 		// would drag the quantile down and hedge everything.
-		c.lat.observe(elapsed)
+		c.lat.Observe(elapsed.Seconds())
 	}
 	return &Response{
 		Status:  hres.StatusCode,

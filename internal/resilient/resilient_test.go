@@ -484,24 +484,23 @@ func TestNewRejectsBadFleet(t *testing.T) {
 	}
 }
 
-// TestLatencyHistQuantile: the log₂ histogram brackets quantiles from
-// above and withholds judgment below the sample floor.
-func TestLatencyHistQuantile(t *testing.T) {
-	var h latencyHist
-	if _, ok := h.quantile(0.95); ok {
-		t.Fatal("quantile reported with zero samples")
+// TestHedgeDelayWaitsForSamples: the adaptive hedge delay withholds
+// judgment below the sample floor, then follows the observed latency
+// quantile from above.
+func TestHedgeDelayWaitsForSamples(t *testing.T) {
+	c, err := New([]string{"http://a.test", "http://b.test"}, Options{Policy: Policy{HedgeQuantile: 0.95}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		h.observe(3 * time.Millisecond) // bucket top 2^22 ns ≈ 4.19ms
+	for i := 0; i < minHedgeSamples-1; i++ {
+		c.lat.Observe(0.003)
 	}
-	h.observe(400 * time.Millisecond)
-	q, ok := h.quantile(0.95)
-	if !ok || q > 8*time.Millisecond || q < 3*time.Millisecond {
-		t.Fatalf("p95 = %v ok=%v, want within [3ms, 8ms]", q, ok)
+	if d := c.hedgeDelay(); d != c.policy.HedgeAfter {
+		t.Fatalf("hedge delay below the sample floor = %v, want the static %v", d, c.policy.HedgeAfter)
 	}
-	q99, _ := h.quantile(0.999)
-	if q99 < 256*time.Millisecond {
-		t.Fatalf("p99.9 = %v, want to see the outlier", q99)
+	c.lat.Observe(0.003)
+	if d := c.hedgeDelay(); d < 3*time.Millisecond || d > 8*time.Millisecond {
+		t.Fatalf("hedge delay = %v, want within [3ms, 8ms]", d)
 	}
 }
 
@@ -517,7 +516,7 @@ func TestDisabledPathAllocs(t *testing.T) {
 		rep, _ := c.pick()
 		c.settle(rep, &okResp, nil, false)
 		_ = c.backoff(3)
-		c.lat.observe(2 * time.Millisecond)
+		c.lat.Observe(0.002)
 		_ = c.hedgeDelay()
 	})
 	if allocs != 0 {
@@ -548,9 +547,9 @@ func BenchmarkBackoff(b *testing.B) {
 }
 
 func BenchmarkLatencyObserve(b *testing.B) {
-	var h latencyHist
+	var h obs.Histogram
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h.observe(time.Duration(i%1000+1) * time.Microsecond)
+		h.Observe(float64(i%1000+1) * 1e-6)
 	}
 }

@@ -71,9 +71,9 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 // SLO; the reply is the minimal buffer (or service rate) meeting it, with
 // the proven loss bound as proof and the infeasible bracket point below
 // it. One admission slot covers the whole root-find — an inverse solve is
-// a chain of warm-started forward solves on one arena, so it costs the
-// admission perimeter exactly one concurrent solve no matter how many
-// iterates it spends.
+// a chain of warm-started forward solves, so it costs the admission
+// perimeter exactly one concurrent solve no matter how many iterates it
+// spends.
 func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.reg.Add(obs.MetricServeRequests, 1)
@@ -106,7 +106,6 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 		Solver:  solverConfig(&req.SolveRequest, s.cfg.Solver),
 	}
 	opts.Solver.Recorder = s.reg
-	opts.Solver.Arena = s.arena // nil when batching is off: Provision brings its own
 
 	release, status, body := s.admit(ctx)
 	if release == nil {

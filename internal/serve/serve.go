@@ -67,12 +67,6 @@ type Config struct {
 	// Solver is the default solver configuration; requests may override the
 	// convergence knobs (relgap, maxbins) per call.
 	Solver solver.Config
-	// Batch shares one solver.Arena across all the process's solves — the
-	// /v1/solve singleflight path and every /v1/sweep cell — so concurrent
-	// and successive solves recycle FFT workspaces, step buffers, and
-	// refinement tables instead of reallocating them. Purely an allocation
-	// optimization: responses are bit-identical to the unbatched server.
-	Batch bool
 	// Journal, when non-nil, persists the solve cache: every cache fill is
 	// appended, and New warm-loads the journal's serve entries (keys are
 	// namespaced, so sweep journals pass through harmlessly). Open it with
@@ -145,9 +139,6 @@ type Server struct {
 	sem   chan struct{}
 	queue chan struct{}
 	cache *lru
-	// arena is the process-wide solve scratch pool (Config.Batch); nil when
-	// batching is off.
-	arena *solver.Arena
 
 	mu      sync.Mutex
 	flights map[string]*flight
@@ -178,9 +169,6 @@ func New(cfg Config) *Server {
 		sem:     make(chan struct{}, cfg.MaxInflight),
 		queue:   make(chan struct{}, cfg.MaxQueue),
 		flights: make(map[string]*flight),
-	}
-	if cfg.Batch {
-		s.arena = solver.NewArena()
 	}
 	if cfg.CacheSize > 0 {
 		s.cache = newLRU(cfg.CacheSize)
@@ -651,9 +639,6 @@ func (s *Server) admitAndSolve(ctx context.Context, req SolveRequest, job solveJ
 	// the solve when the client goes away.
 	cfg := solverConfig(&req, s.cfg.Solver)
 	cfg.Recorder = s.reg
-	// Hash-invisible and bit-invisible: cache keys and response bodies are
-	// unchanged by the shared arena (nil when batching is off).
-	cfg.Arena = s.arena
 	budget := time.Duration(req.Solver.Timeout)
 	if s.cfg.RequestTimeout > 0 && (budget <= 0 || budget > s.cfg.RequestTimeout) {
 		budget = s.cfg.RequestTimeout

@@ -177,39 +177,3 @@ func TestSweepFleetSplitsAcrossReplicas(t *testing.T) {
 		}
 	}
 }
-
-// TestSweepBatchBitIdentical: a batch-mode server (shared solve arena)
-// returns responses byte-identical to an unbatched server, for both the
-// sweep endpoint and /v1/solve.
-func TestSweepBatchBitIdentical(t *testing.T) {
-	plain := New(Config{})
-	tsPlain := httptest.NewServer(plain.Handler())
-	defer tsPlain.Close()
-	batch := New(Config{Batch: true})
-	tsBatch := httptest.NewServer(batch.Handler())
-	defer tsBatch.Close()
-	if batch.arena == nil {
-		t.Fatal("batch server has no arena")
-	}
-
-	sweep := `{"marginal":"0:0.5,2:0.5","hurst":0.8,"epoch":0.05,"util":0.8,"buffer":1,` +
-		`"buffers":[0.05,0.1,0.2],"cutoffs":[1,2]}`
-	_, srPlain := postSweep(t, tsPlain, sweep)
-	_, srBatch := postSweep(t, tsBatch, sweep)
-	if len(srBatch.Cells) != len(srPlain.Cells) {
-		t.Fatalf("cell counts differ: %d vs %d", len(srBatch.Cells), len(srPlain.Cells))
-	}
-	for i := range srPlain.Cells {
-		if !bytes.Equal([]byte(srBatch.Cells[i].Result), []byte(srPlain.Cells[i].Result)) {
-			t.Fatalf("cell %d differs between batch and plain servers:\n%s\n%s",
-				i, srBatch.Cells[i].Result, srPlain.Cells[i].Result)
-		}
-	}
-
-	solo := `{"marginal":"0:0.5,2:0.5","hurst":0.8,"epoch":0.05,"util":0.8,"buffer":0.3,"cutoff":2}`
-	_, bodyPlain := post(t, tsPlain, solo)
-	_, bodyBatch := post(t, tsBatch, solo)
-	if !bytes.Equal(bodyBatch, bodyPlain) {
-		t.Fatalf("/v1/solve differs between batch and plain servers:\n%s\n%s", bodyBatch, bodyPlain)
-	}
-}

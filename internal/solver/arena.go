@@ -7,27 +7,20 @@ import (
 	"lrd/internal/obs"
 )
 
-// Arena pools the solver's per-solve scratch memory — FFT convolution
-// workspaces, step output double-buffers, and the grid tables rebuilt on
-// every resolution rung — across the many solves of a batch. It is purely an
-// allocation optimization: every pooled buffer is either fully overwritten
-// or zeroed before use, so results are bit-identical to the unpooled path
-// (the batch golden tests assert this). An Arena is safe for concurrent use;
-// each solve borrows one scratch set for its whole lifetime and returns it
-// when RunContext finishes.
-type Arena struct {
-	pool sync.Pool // *arenaScratch
-}
+// scratchPool lends every Iterator its scratch memory — the FFT convolution
+// workspace, the step output double-buffers, and the grid tables rebuilt on
+// every resolution rung — so successive and concurrent solves recycle it
+// instead of reallocating. Every pooled buffer is zeroed or fully
+// overwritten before use, so results never depend on what a borrowed set
+// last held (the solver golden tests pin this). Scratch goes back to the
+// pool only from the Solve* entry points, which own their iterators; an
+// Iterator from NewIterator keeps its scratch until it is garbage.
+var scratchPool sync.Pool // *arenaScratch
 
-// NewArena returns an empty Arena. One Arena should be shared by all the
-// solves of a sweep or serving process; sharing across unrelated workloads
-// is safe but pools their peak scratch sizes together.
-func NewArena() *Arena { return &Arena{} }
-
-// borrow takes a scratch set from the pool, counting reuse vs. fresh
+// borrowScratch takes a scratch set from the pool, counting reuse vs. fresh
 // allocation on the borrowing solve's recorder.
-func (a *Arena) borrow(rec obs.Recorder) *arenaScratch {
-	if v := a.pool.Get(); v != nil {
+func borrowScratch(rec obs.Recorder) *arenaScratch {
+	if v := scratchPool.Get(); v != nil {
 		if rec != nil {
 			rec.Add(obs.MetricSolverArenaReuse, 1)
 		}
@@ -37,13 +30,6 @@ func (a *Arena) borrow(rec obs.Recorder) *arenaScratch {
 		rec.Add(obs.MetricSolverArenaAlloc, 1)
 	}
 	return &arenaScratch{}
-}
-
-// release returns a scratch set to the pool. Safe on nil.
-func (a *Arena) release(s *arenaScratch) {
-	if a != nil && s != nil {
-		a.pool.Put(s)
-	}
 }
 
 // arenaScratch is one solve's worth of reusable memory: the FFT convolution
@@ -63,9 +49,6 @@ const maxFreeSlices = 16
 // with sufficient capacity when one exists. The zeroing makes recycled
 // slices indistinguishable from fresh make() allocations.
 func (s *arenaScratch) getFloat(n int) []float64 {
-	if s == nil {
-		return make([]float64, n)
-	}
 	for i, b := range s.free {
 		if cap(b) >= n {
 			last := len(s.free) - 1
@@ -80,10 +63,10 @@ func (s *arenaScratch) getFloat(n int) []float64 {
 	return make([]float64, n)
 }
 
-// putFloat hands a dead slice back for recycling. Safe on nil receivers and
-// empty slices; drops the slice when the free list is full.
+// putFloat hands a dead slice back for recycling. Safe on empty slices;
+// drops the slice when the free list is full.
 func (s *arenaScratch) putFloat(b []float64) {
-	if s == nil || cap(b) == 0 || len(s.free) >= maxFreeSlices {
+	if cap(b) == 0 || len(s.free) >= maxFreeSlices {
 		return
 	}
 	s.free = append(s.free, b)

@@ -80,7 +80,7 @@ func SolveContext(ctx context.Context, q Queue, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return it.RunContext(ctx)
+	return it.solve(ctx)
 }
 
 // SolveModelContext is SolveModel with cancellation and deadline support;
@@ -90,7 +90,15 @@ func SolveModelContext(ctx context.Context, m Model, cfg Config) (Result, error)
 	if err != nil {
 		return Result{}, err
 	}
-	return it.RunContext(ctx)
+	return it.solve(ctx)
+}
+
+// solve runs an iterator owned by a Solve* entry point to completion and
+// returns its scratch to the pool: nothing can step it afterwards.
+func (it *Iterator) solve(ctx context.Context) (Result, error) {
+	r, err := it.RunContext(ctx)
+	it.release()
+	return r, err
 }
 
 // RunContext drives the iterate/refine loop to completion, checking ctx
@@ -111,7 +119,6 @@ func (it *Iterator) RunContext(ctx context.Context) (Result, error) {
 	ctx, finish := obs.StartSpan(ctx, "solver.solve")
 	r, err := it.runContext(ctx)
 	it.observeFinish(r, err)
-	it.release() // recycle batch-mode scratch; no-op without an Arena
 	if obs.Traced(ctx) {
 		finish(map[string]string{
 			"solve":      strconv.FormatUint(it.id, 10),

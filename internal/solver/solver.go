@@ -225,14 +225,6 @@ type Config struct {
 	// finishes). The CLIs' -trace flag wires this to a JSONL writer. Like
 	// Recorder, a nil Trace changes nothing about the solve.
 	Trace func(TracePoint)
-	// Arena, when non-nil, lends the solve reusable scratch memory (FFT
-	// workspaces, step buffers, grid tables) shared with the other solves
-	// of a batch. Like Recorder it is excluded from ConfigHash and changes
-	// no result bit: every pooled buffer is zeroed or fully overwritten
-	// before use. The iterator borrows one scratch set for its lifetime and
-	// returns it when RunContext finishes — do not keep calling Step on an
-	// arena-backed iterator after RunContext has returned.
-	Arena *Arena
 }
 
 // TracePoint is one record of a solve's convergence trace: the bracketing
@@ -357,20 +349,12 @@ func (r Result) RelativeGap() float64 {
 
 // Solve computes the stationary loss rate of the paper's queue.
 func Solve(q Queue, cfg Config) (Result, error) {
-	it, err := NewIterator(q, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return it.Run()
+	return SolveContext(context.Background(), q, cfg)
 }
 
 // SolveModel computes the stationary loss rate of a general Model.
 func SolveModel(m Model, cfg Config) (Result, error) {
-	it, err := NewModelIterator(m, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return it.Run()
+	return SolveModelContext(context.Background(), m, cfg)
 }
 
 // Iterator exposes the solver's state step by step, which the paper's
@@ -405,12 +389,10 @@ type Iterator struct {
 	traceLo float64
 	traceHi float64
 
-	// Batch-mode state (zero outside batch mode). scratch is the arena
-	// scratch set borrowed for this solve's lifetime; qlNext/qhNext are the
-	// step output double-buffers; cl/cc retain the work-increment cdf
-	// tables so a Refine recomputes only the odd grid points (the even ones
-	// coincide bitwise with the coarse grid's).
-	arena          *Arena
+	// scratch is the pooled scratch set borrowed for this solve's lifetime;
+	// qlNext/qhNext are the step output double-buffers; cl/cc retain the
+	// work-increment cdf tables so a Refine recomputes only the odd grid
+	// points (the even ones coincide bitwise with the coarse grid's).
 	scratch        *arenaScratch
 	qlNext, qhNext []float64
 	cl, cc         []float64
@@ -464,10 +446,7 @@ func newIterator(m Model, cfg Config, bins int) (*Iterator, error) {
 		arrivalWork: m.Marginal.Mean() * m.Interarrival.Mean(),
 		id:          solveSeq.Add(1),
 		start:       time.Now(),
-	}
-	if cfg.Arena != nil {
-		it.arena = cfg.Arena
-		it.scratch = cfg.Arena.borrow(cfg.Recorder)
+		scratch:     borrowScratch(cfg.Recorder),
 	}
 	it.setResolution(bins)
 	if err := it.validatePMF("lower increment", it.wl, cfg.MassDriftTol); err != nil {
@@ -488,11 +467,11 @@ func newIterator(m Model, cfg Config, bins int) (*Iterator, error) {
 	return it, nil
 }
 
-// release returns the borrowed arena scratch set, recycling this solve's
-// internal buffers for the batch's next cell. It runs when RunContext
-// finishes; afterwards the iterator must not be stepped again (results
-// already returned are unaffected — they hold copies). Idempotent, and a
-// no-op for iterators without an arena.
+// release returns the borrowed scratch set to the pool, recycling this
+// solve's internal buffers for the next solve. Only the Solve* entry points
+// call it, once their iterator has finished; afterwards the iterator must
+// not be stepped again (results already returned are unaffected — they
+// hold copies). Idempotent.
 func (it *Iterator) release() {
 	s := it.scratch
 	if s == nil {
@@ -510,12 +489,12 @@ func (it *Iterator) release() {
 	s.putFloat(it.cc)
 	it.ql, it.qh, it.qlNext, it.qhNext = nil, nil, nil, nil
 	it.wl, it.wh, it.loss, it.cl, it.cc = nil, nil, nil, nil, nil
-	it.arena.release(s)
+	scratchPool.Put(s)
 }
 
-// setResolution (re)builds the grid-dependent tables for M bins. In batch
-// mode the previous rung's tables are recycled through the arena scratch,
-// and a resolution doubling copies the coarse grid's cdf/loss entries into
+// setResolution (re)builds the grid-dependent tables for M bins. The
+// previous rung's tables are recycled through the scratch free list, and a
+// resolution doubling copies the coarse grid's cdf/loss entries into
 // the even fine-grid slots instead of recomputing them: the evaluation
 // points coincide bitwise (B/(2M) rounds to exactly half of B/M, and
 // float64(2j)·(B/(2M)) to exactly float64(j)·(B/M)), so the copied entries
@@ -533,13 +512,9 @@ func (it *Iterator) setResolution(m int) {
 	cl, cc := it.cdfTables(m, reuseCl, reuseCc)
 	it.wl, it.wh = it.incrementPMFs(m, cl, cc)
 	it.loss = it.lossTable(m, reuseLoss)
-	if it.scratch != nil {
-		it.cl, it.cc = cl, cc
-		it.scratch.putFloat(prevCl)
-		it.scratch.putFloat(prevCc)
-		it.scratch.putFloat(prevWl)
-		it.scratch.putFloat(prevWh)
-		it.scratch.putFloat(prevLoss)
+	it.cl, it.cc = cl, cc
+	for _, b := range [][]float64{prevCl, prevCc, prevWl, prevWh, prevLoss} {
+		it.scratch.putFloat(b)
 	}
 }
 
@@ -577,21 +552,16 @@ func (it *Iterator) Step() error {
 	if it.cfg.Recorder != nil {
 		stepStart = time.Now()
 	}
-	var conv *fft.Scratch
-	var outL, outH []float64
-	if s := it.scratch; s != nil {
-		conv = &s.conv
-		n := it.bins + 1
-		if cap(it.qlNext) < n {
-			it.qlNext = make([]float64, n)
-		}
-		if cap(it.qhNext) < n {
-			it.qhNext = make([]float64, n)
-		}
-		outL, outH = it.qlNext[:n], it.qhNext[:n]
+	n := it.bins + 1
+	if cap(it.qlNext) < n {
+		it.qlNext = make([]float64, n)
 	}
-	ql, driftL := lindleyStepInto(it.ql, it.wl, it.bins, conv, outL)
-	qh, driftH := lindleyStepInto(it.qh, it.wh, it.bins, conv, outH)
+	if cap(it.qhNext) < n {
+		it.qhNext = make([]float64, n)
+	}
+	conv := &it.scratch.conv
+	ql, driftL := lindleyStepInto(it.ql, it.wl, it.bins, conv, it.qlNext[:n])
+	qh, driftH := lindleyStepInto(it.qh, it.wh, it.bins, conv, it.qhNext[:n])
 	newLo, newHi := it.lossOf(ql), it.lossOf(qh)
 	if faultinject.Active() {
 		pair := []float64{newLo, newHi}
@@ -604,14 +574,10 @@ func (it *Iterator) Step() error {
 		}
 		return err
 	}
-	if it.scratch != nil {
-		// Double-buffer: the displaced vectors become the next step's
-		// output buffers.
-		it.ql, it.qlNext = ql, it.ql
-		it.qh, it.qhNext = qh, it.qh
-	} else {
-		it.ql, it.qh = ql, qh
-	}
+	// Double-buffer: the displaced vectors become the next step's output
+	// buffers.
+	it.ql, it.qlNext = ql, it.ql
+	it.qh, it.qhNext = qh, it.qh
 	it.lowerLoss, it.upperLoss = newLo, newHi
 	it.iterations++
 	if rec := it.cfg.Recorder; rec != nil {
@@ -747,27 +713,18 @@ func relChange(prev, cur float64) float64 {
 	return math.Abs(cur-prev) / den
 }
 
-// lindleyStep applies Eqs. (19)–(20): convolve the occupancy pmf with the
-// increment pmf, then fold the mass escaping below 0 into bin 0 and the
+// lindleyStepInto applies Eqs. (19)–(20): convolve the occupancy pmf with
+// the increment pmf, then fold the mass escaping below 0 into bin 0 and the
 // mass escaping above B into bin M. The result is renormalized to unit mass
 // to stop roundoff drift over long runs (and to clamp the ~1-ulp negative
-// values FFT convolution can produce). The pre-renormalization drift
-// (total−1) is returned for the numeric-health watchdog.
-func lindleyStep(q, w []float64, m int) (out []float64, drift float64) {
-	return lindleyStepInto(q, w, m, nil, nil)
-}
-
-// lindleyStepInto is lindleyStep with optional caller-owned buffers: conv
-// supplies the convolution workspace and out (length m+1, fully
-// overwritten) receives the stepped pmf. Either may be nil, in which case
-// fresh slices are allocated; results are bit-identical both ways.
+// values FFT convolution can produce). conv supplies the convolution
+// workspace and out (length m+1, fully overwritten) receives the stepped
+// pmf. The pre-renormalization drift (total−1) is returned for the
+// numeric-health watchdog.
 func lindleyStepInto(q, w []float64, m int, conv *fft.Scratch, out []float64) ([]float64, float64) {
 	// u[k] corresponds to occupancy position (k−m)·d, k = 0..3m.
 	u := fft.ConvolveRealInto(q, w, conv)
 	faultinject.Apply(faultinject.SolverConvolution, u)
-	if out == nil {
-		out = make([]float64, m+1)
-	}
 	var under, over numerics.Accumulator
 	for k := 0; k <= m; k++ { // positions −m·d … 0
 		under.Add(math.Max(u[k], 0))
@@ -833,9 +790,9 @@ func (it *Iterator) incrementPMFs(m int, cl, cc []float64) (wl, wh []float64) {
 // cdfTables evaluates the work-increment cdfs at the 2m+2 grid points i·d
 // for i = −m..m+1: cl holds the strict cdf Pr{W < i·d}, cc the non-strict
 // Pr{W <= i·d}. When the previous rung's tables at resolution m/2 are
-// supplied (a batch-mode resolution doubling), the even-index entries are
-// copied instead of recomputed — the evaluation points coincide bitwise, so
-// the copies equal what recomputation would produce.
+// supplied (a resolution doubling), the even-index entries are copied
+// instead of recomputed — the evaluation points coincide bitwise, so the
+// copies equal what recomputation would produce.
 func (it *Iterator) cdfTables(m int, prevCl, prevCc []float64) (cl, cc []float64) {
 	d := it.model.Buffer / float64(m)
 	cl = it.scratch.getFloat(2*m + 2)
@@ -977,9 +934,9 @@ func (it *Iterator) workCDF(x float64, strict bool) float64 {
 //
 // which for the truncated Pareto reduces to the paper's
 // θ/(α−1)·Σ π_i(λ_i−c)[((B−x)/(θ(λ_i−c))+1)^(1−α) − (Tc/θ+1)^(1−α)].
-// When the previous rung's table at resolution m/2 is supplied (batch-mode
-// doubling), the even entries are copied — same bitwise-coincidence
-// argument as cdfTables.
+// When the previous rung's table at resolution m/2 is supplied (a
+// resolution doubling), the even entries are copied — same
+// bitwise-coincidence argument as cdfTables.
 func (it *Iterator) lossTable(m int, prev []float64) []float64 {
 	out := it.scratch.getFloat(m + 1)
 	d := it.model.Buffer / float64(m)

@@ -35,8 +35,8 @@ import (
 // The seeded iterates are valid brackets at every step but are not the
 // paper's monotone-from-below/above sequences, so warm results can differ
 // from a cold solve in where inside the bracket they stop: bounds are
-// warm-start-dependent in their low-order digits, and warm mode is
-// therefore opt-in (the exact batch mode shares buffers only).
+// warm-start-dependent in their low-order digits, and warm starts are
+// therefore opt-in.
 type Seed struct {
 	// ServiceRate identifies the seeding cell's server; seeding across
 	// different service rates (or sources — the caller's contract) is
@@ -145,7 +145,7 @@ func NewModelIteratorSeeded(m Model, cfg Config, seed *Seed) (*Iterator, error) 
 // seedOccupancies projects the seed vectors onto this iterator's grid:
 // lower mass moves down (preserving <=st), upper mass is shifted up by
 // Δ = B−B', moved up to the next grid point, and capped at B. Both vectors
-// are renormalized to unit mass exactly as lindleyStep renormalizes.
+// are renormalized to unit mass exactly as lindleyStepInto renormalizes.
 func (it *Iterator) seedOccupancies(seed *Seed) {
 	m, d := it.bins, it.d
 	delta := it.model.Buffer - seed.Buffer
@@ -202,5 +202,5 @@ func SolveModelSeeded(ctx context.Context, m Model, cfg Config, seed *Seed) (Res
 	if err != nil {
 		return Result{}, err
 	}
-	return it.RunContext(ctx)
+	return it.solve(ctx)
 }

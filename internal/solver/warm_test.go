@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -142,7 +143,7 @@ func TestWarmSeedRejection(t *testing.T) {
 			t.Fatalf("%s: warm_solves = %v, want 0", tc.name,
 				reg.CounterValue(obs.MetricSolverWarmSolves))
 		}
-		resultsBitIdentical(t, got, cold, tc.name)
+		sameBits(t, got, cold, tc.name)
 	}
 
 	// And the nil seed: a plain cold solve, no rejection counted.
@@ -156,7 +157,7 @@ func TestWarmSeedRejection(t *testing.T) {
 	if reg.CounterValue(obs.MetricSolverWarmRejected) != 0 {
 		t.Fatalf("nil seed counted a rejection")
 	}
-	resultsBitIdentical(t, got, cold, "nil seed")
+	sameBits(t, got, cold, "nil seed")
 }
 
 // TestSeedFromResultNil: results without usable occupancy vectors (journal
@@ -185,8 +186,32 @@ func TestSeedFromResultNil(t *testing.T) {
 	}
 }
 
-// TestWarmSolveAllDeterministic: two warm SolveAll runs over the same grid
-// produce bitwise-identical results, and warm metrics record the chains.
+// warmChain solves models as one warm-start chain in ascending buffer
+// order, seeding each solve from its predecessor's result, and returns the
+// results in input order.
+func warmChain(t *testing.T, models []Model, cfg Config) []Result {
+	t.Helper()
+	order := make([]int, len(models))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return models[order[a]].Buffer < models[order[b]].Buffer })
+	out := make([]Result, len(models))
+	var seed *Seed
+	for _, i := range order {
+		r, err := SolveModelSeeded(context.Background(), models[i], cfg, seed)
+		if err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+		out[i] = r
+		seed = SeedFromResult(models[i], r)
+	}
+	return out
+}
+
+// TestWarmSolveAllDeterministic: two warm chains over the same cells
+// produce bitwise-identical results, and warm metrics record every seeded
+// solve.
 func TestWarmSolveAllDeterministic(t *testing.T) {
 	q, ok := randomModel(17)
 	if !ok {
@@ -202,11 +227,7 @@ func TestWarmSolveAllDeterministic(t *testing.T) {
 		reg := obs.NewRegistry()
 		cfg := warmTestCfg
 		cfg.Recorder = reg
-		b := NewBatch(cfg, BatchOptions{WarmStarts: true})
-		out, err := b.SolveAll(context.Background(), models)
-		if err != nil {
-			t.Fatalf("warm SolveAll: %v", err)
-		}
+		out := warmChain(t, models, cfg)
 		if got := reg.CounterValue(obs.MetricSolverWarmSolves); got != float64(len(models)-1) {
 			t.Fatalf("warm_solves = %v, want %d (all but the chain head)", got, len(models)-1)
 		}
@@ -214,7 +235,7 @@ func TestWarmSolveAllDeterministic(t *testing.T) {
 	}
 	a, b := run(), run()
 	for i := range a {
-		resultsBitIdentical(t, a[i], b[i], "warm determinism")
+		sameBits(t, a[i], b[i], "warm determinism")
 	}
 }
 
@@ -236,22 +257,20 @@ func TestWarmChainIterationProfile(t *testing.T) {
 		m.Buffer *= 1.0 + 0.025*float64(i)
 		models = append(models, m)
 	}
-	ctx := context.Background()
 
 	coldStart := time.Now()
-	coldBatch := NewBatch(warmTestCfg, BatchOptions{})
-	coldRes, err := coldBatch.SolveAll(ctx, models)
-	if err != nil {
-		t.Fatal(err)
+	coldRes := make([]Result, len(models))
+	for i, m := range models {
+		r, err := SolveModel(m, warmTestCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coldRes[i] = r
 	}
 	coldDur := time.Since(coldStart)
 
 	warmStart := time.Now()
-	warmBatch := NewBatch(warmTestCfg, BatchOptions{WarmStarts: true})
-	warmRes, err := warmBatch.SolveAll(ctx, models)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warmRes := warmChain(t, models, warmTestCfg)
 	warmDur := time.Since(warmStart)
 
 	coldIters, warmIters := 0, 0

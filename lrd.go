@@ -336,30 +336,6 @@ var (
 	StartSpan = obs.StartSpan
 )
 
-// RecorderConfig returns a copy of cfg with the telemetry recorder
-// attached.
-//
-// Deprecated: this is the pre-options copy-mutate helper (formerly named
-// WithRecorder, which now returns an Option). Pass WithRecorder(rec) to
-// Solve/SolveContext instead.
-func RecorderConfig(cfg SolverConfig, rec Recorder) SolverConfig {
-	s := solveSettings{cfg: cfg}
-	s.apply([]Option{WithRecorder(rec)})
-	return s.cfg
-}
-
-// TracedConfig returns a copy of cfg that streams one TracePoint per
-// solver iteration (plus a final point) to fn.
-//
-// Deprecated: this is the pre-options copy-mutate helper (formerly named
-// WithTrace, which now returns an Option). Pass WithTrace(fn) to
-// Solve/SolveContext instead.
-func TracedConfig(cfg SolverConfig, fn func(TracePoint)) SolverConfig {
-	s := solveSettings{cfg: cfg}
-	s.apply([]Option{WithTrace(fn)})
-	return s.cfg
-}
-
 // DegradeReason values.
 const (
 	// DegradedCanceled: the context was canceled mid-solve.

@@ -120,18 +120,6 @@ func TestExportSurfaceCompiles(t *testing.T) {
 	_ = lrd.NSourceOnOff
 	_ = lrd.CriticalTimeScale
 
-	// Deprecated copy-mutate helpers must keep compiling (and agreeing with
-	// the options they wrap).
-	rec := lrd.NewMetricsRegistry()
-	cfg := lrd.RecorderConfig(lrd.SolverConfig{}, rec)
-	if cfg.Recorder != rec {
-		t.Fatal("RecorderConfig did not attach the recorder")
-	}
-	cfg = lrd.TracedConfig(cfg, func(lrd.TracePoint) {})
-	if cfg.Trace == nil {
-		t.Fatal("TracedConfig did not attach the trace sink")
-	}
-
 	// DegradeReason constants.
 	for _, r := range []lrd.DegradeReason{
 		lrd.DegradedCanceled, lrd.DegradedDeadline,
