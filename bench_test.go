@@ -265,6 +265,40 @@ func BenchmarkSolveNilRecorder(b *testing.B) {
 	recordBench(b, "SolveNilRecorder", float64(elapsed.Nanoseconds())/float64(b.N), b.N)
 }
 
+// BenchmarkProvision times one inverse solve per op: the minimal buffer, up
+// to 2 s, at which the on/off source with H 0.9, 50 ms mean epochs and a
+// 1 s cutoff meets a 0.05 loss SLO at utilization 0.7. solves/op is the
+// number of probes (one forward solve each) an answer spends.
+func BenchmarkProvision(b *testing.B) {
+	m := lrd.MustMarginal([]float64{0, 2}, []float64{0.5, 0.5})
+	alpha := lrd.AlphaFromHurst(0.9)
+	theta, err := lrd.CalibrateTheta(alpha, 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := lrd.NewSource(m, lrd.TruncatedPareto{Theta: theta, Alpha: alpha, Cutoff: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := lrd.NewFluidSource(src)
+	opts := lrd.ProvisionOptions{SLO: 0.05, Util: 0.7, Max: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := time.Now()
+	solves := 0
+	for i := 0; i < b.N; i++ {
+		p, err := lrd.Provision(context.Background(), ts, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		solves += p.Solves
+	}
+	elapsed := time.Since(start)
+	b.StopTimer()
+	b.ReportMetric(float64(solves)/float64(b.N), "solves/op")
+	recordBench(b, "Provision", float64(elapsed.Nanoseconds())/float64(b.N), b.N)
+}
+
 // BenchmarkSolverStep measures a single Lindley iteration of both bound
 // processes at M = 1024 (the per-step FFT convolution cost).
 func BenchmarkSolverStep(b *testing.B) {

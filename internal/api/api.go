@@ -60,7 +60,9 @@ func (d Duration) MarshalJSON() ([]byte, error) {
 // -maxbins style defaults; resource-protection knobs (iteration caps, the
 // numeric watchdog) stay server-side.
 type SolverParams struct {
-	// RelGap is the bound convergence target (paper: 0.2).
+	// RelGap is the bound convergence target (paper: 0.2). A provision's
+	// probes stop once their bounds decide the SLO and give up at a 0.1%
+	// gap, so there relgap only tightens that floor.
 	RelGap float64 `json:"relgap,omitempty"`
 	// MaxBins caps the resolution ladder (default 32768).
 	MaxBins int `json:"maxbins,omitempty"`
@@ -330,8 +332,9 @@ type ProvisionResponse struct {
 	SLO float64 `json:"slo"`
 	// Util reports the resulting utilization at Value (service target only).
 	Util float64 `json:"util,omitempty"`
-	// Solves counts the forward solves spent; WarmSolves how many of them
-	// were warm-started from a previous iterate's occupancy vectors.
+	// Solves counts the probes spent, one forward solve each; WarmSolves
+	// how many of them were warm-started from a previous iterate's
+	// occupancy vectors.
 	Solves     int `json:"solves"`
 	WarmSolves int `json:"warm_solves,omitempty"`
 }

@@ -195,6 +195,11 @@ func parallelMap(ctx context.Context, rec obs.Recorder, workers, n int, f func(i
 	var ctxErr error
 dispatch:
 	for i := 0; i < n; i++ {
+		// select picks at random among ready cases, so with a worker
+		// already waiting it could still send after cancellation.
+		if ctxErr = ctx.Err(); ctxErr != nil {
+			break
+		}
 		select {
 		case <-ctx.Done():
 			ctxErr = ctx.Err()

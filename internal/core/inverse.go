@@ -65,7 +65,8 @@ type ProvisionOptions struct {
 	// Tol is the relative bracket width at which bisection stops (default
 	// DefaultProvisionTol).
 	Tol float64
-	// MaxSolves caps forward solves (default DefaultMaxProvisionSolves).
+	// MaxSolves caps the probes, one forward solve each (default
+	// DefaultMaxProvisionSolves).
 	MaxSolves int
 	// Solver configures the forward solves. Provision threads warm-start
 	// seeds through the buffer chain.
@@ -77,8 +78,9 @@ type ProvisionOptions struct {
 // value probed. Feasibility is classified on proven solver bounds, not
 // midpoints: at Value the solve's upper bound cleared the SLO, so the true
 // loss there provably meets it and any independent forward solve of Value
-// brackets a loss at or below the SLO; at Bracket the proof failed even
-// after tightening the bound gap.
+// brackets a loss at or below the SLO; at Bracket the proof failed, either
+// because the lower bound proved the SLO missed or because the bounds
+// still straddled it at the probe gap floor.
 type Provisioned struct {
 	Target string
 	// Value is the answer: minimal normalized buffer (seconds), or minimal
@@ -88,14 +90,17 @@ type Provisioned struct {
 	// feasibility verdict is decided on, so Loss <= SLO holds exactly.
 	Loss float64
 	// Bracket is the largest value probed whose loss bound failed to clear
-	// the SLO, and BracketLoss that bound (> SLO, again exactly). Bracket is
-	// 0 when the SLO was already met at the bracket's cheapest end.
+	// the SLO, and BracketLoss that upper bound (> SLO, again exactly). Its
+	// probe either proved loss > SLO on its lower bound or reached the 0.1%
+	// gap floor (or MaxBins) with the bounds still straddling the SLO.
+	// Bracket is 0 when the SLO was already met at the bracket's cheapest
+	// end.
 	Bracket     float64
 	BracketLoss float64
 	// Util is the utilization at Value (service target only; 0 otherwise).
 	Util float64
-	// Solves counts forward solves spent; WarmSolves how many were seeded
-	// from a previous iterate's occupancy vectors.
+	// Solves counts probes, each exactly one forward solve; WarmSolves how
+	// many of them were seeded from a previous iterate's occupancy vectors.
 	Solves     int
 	WarmSolves int
 }
@@ -117,10 +122,11 @@ func (e *InfeasibleError) Error() string {
 		e.SLO, e.Target, e.BestLoss, e.Target, e.Best)
 }
 
-// probeGapFloor floors the adaptive bound tightening of SLO-straddling
-// probes (see prober.solve): below a 0.1% relative gap the verdict is as
-// resolved as any practical SLO comparison needs, and MaxBins usually caps
-// the achievable resolution long before.
+// probeGapFloor is the gap target of every probe (a smaller Solver.RelGap
+// tightens it): a probe runs until its bounds decide the SLO, and only one
+// whose loss sits within a 0.1% relative gap of the SLO gives up undecided
+// — as resolved as any practical SLO comparison needs, and MaxBins usually
+// caps the achievable resolution long before.
 const probeGapFloor = 1e-3
 
 // prober runs the forward solves of one inverse solve, counting them and
@@ -144,16 +150,13 @@ func (p *prober) budget() error {
 	return nil
 }
 
-// solve forward-solves one iterate and resolves its SLO verdict. The
-// bisection consumes the verdict, not the loss estimate: feasible means the
-// solver proved loss <= SLO (the upper bound cleared it). A probe whose
-// bound bracket straddles the SLO proves neither verdict — a midpoint
-// comparison there would depend on which way the bracket happens to lean,
-// and an independent forward solve of the returned value could flip it. Such
-// probes are re-solved at geometrically tighter gaps, warm-seeded from their
-// own iterate, until a bound clears the SLO, the gap floor is reached, or
-// the bracket stops shrinking (MaxBins caps resolution); each refinement
-// counts against the solve budget.
+// solve makes one probe: a single forward solve that stops as soon as its
+// bounds decide the SLO (solver.Decide). The bisection consumes the
+// verdict, not the loss estimate: feasible means the solver proved loss <=
+// SLO (the upper bound cleared it). Infeasible means either the lower bound
+// proved loss > SLO, or the bracket still straddled the SLO at the gap
+// floor (or at MaxBins) — a probe whose loss sits on the SLO — where a
+// feasible verdict stays unproven.
 func (p *prober) solve(ctx context.Context, serviceRate, buffer float64, seed *solver.Seed) (solver.Result, *solver.Seed, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return solver.Result{}, nil, false, err
@@ -169,36 +172,9 @@ func (p *prober) solve(ctx context.Context, serviceRate, buffer float64, seed *s
 	if seed != nil && seed.ServiceRate == m.ServiceRate && seed.Buffer <= m.Buffer {
 		p.warm++
 	}
-	cfg := p.cfg
-	res, err := solver.SolveModelSeeded(ctx, m, cfg, seed)
+	res, err := solver.Decide(ctx, m, p.cfg, seed, p.slo)
 	if err != nil {
 		return solver.Result{}, nil, false, err
-	}
-	for res.Lower <= p.slo && p.slo < res.Upper {
-		gap := cfg.RelGap
-		if gap <= 0 {
-			gap = 0.2 // the solver's documented default
-		}
-		if gap <= probeGapFloor {
-			break
-		}
-		cfg.RelGap = math.Max(gap/4, probeGapFloor)
-		if err := ctx.Err(); err != nil {
-			return solver.Result{}, nil, false, err
-		}
-		if err := p.budget(); err != nil {
-			return solver.Result{}, nil, false, err
-		}
-		p.solves++
-		p.warm++
-		width := res.Upper - res.Lower
-		res, err = solver.SolveModelSeeded(ctx, m, cfg, solver.SeedFromResult(m, res))
-		if err != nil {
-			return solver.Result{}, nil, false, err
-		}
-		if !(res.Upper-res.Lower < width) {
-			break
-		}
 	}
 	return res, solver.SeedFromResult(m, res), res.Upper <= p.slo, nil
 }
@@ -229,6 +205,11 @@ func Provision(ctx context.Context, src source.Source, opts ProvisionOptions) (P
 	// best-so-far bracket; an inverse solve built on degraded losses would
 	// silently provision against the budget, not the queue.
 	opts.Solver.MaxDuration = 0
+	// A probe stops once its bounds decide the SLO; the gap target only
+	// bounds the work on a probe whose loss sits on the SLO.
+	if !(opts.Solver.RelGap > 0 && opts.Solver.RelGap < probeGapFloor) {
+		opts.Solver.RelGap = probeGapFloor
+	}
 
 	var out Provisioned
 	var err error

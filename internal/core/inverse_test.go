@@ -107,6 +107,45 @@ func TestProvisionBufferBracketInvariant(t *testing.T) {
 	}
 }
 
+// TestProvisionBracketProvenInfeasible: the bracket point must really miss
+// the SLO, not merely fail to prove it met at a coarse gap. On this question
+// (H 0.9, 50 ms epochs, 1 s cutoff, util 0.7, SLO 0.05, default solver
+// config) the last probes' losses sit within 1% of the SLO, where a probe
+// that stopped undecided would pass for infeasible. A tight cold solve must
+// not prove the SLO met at Bracket (its upper bound stays above the SLO),
+// while at Value it must reach down to the SLO.
+func TestProvisionBracketProvenInfeasible(t *testing.T) {
+	if testing.Short() && raceEnabled {
+		t.Skip("about 3 s of solves, ten times that under -race; skipped under -short -race")
+	}
+	m, err := dist.NewMarginal([]float64{0, 2}, []float64{0.5, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alpha := dist.AlphaFromHurst(0.9)
+	theta, err := dist.CalibrateTheta(alpha, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsrc, err := fluid.New(m, dist.TruncatedPareto{Theta: theta, Alpha: alpha, Cutoff: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := source.NewFluid(fsrc)
+	const util, slo = 0.7, 0.05
+	p, err := Provision(context.Background(), src, ProvisionOptions{SLO: slo, Util: util, Max: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight := solver.Config{RelGap: 1e-3}
+	if fb := forwardSolve(t, src, util, p.Bracket, tight); fb.Upper <= slo {
+		t.Errorf("cold solve at bracket %g: upper bound %g <= SLO %g, so the bracket point meets the SLO", p.Bracket, fb.Upper, slo)
+	}
+	if fv := forwardSolve(t, src, util, p.Value, tight); fv.Lower > slo {
+		t.Errorf("cold solve at value %g: lower bound %g > SLO %g", p.Value, fv.Lower, slo)
+	}
+}
+
 // TestProvisionServiceTarget provisions the other dimension: minimal
 // service rate at a fixed buffer, verified by a forward solve at the
 // resulting utilization.

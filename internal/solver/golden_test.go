@@ -58,6 +58,14 @@ func goldenCases(t testing.TB) []goldenCase {
 // goldenLine renders one result as a golden row: the exact bits of every
 // float, the diagnostics, and an FNV-1a hash over both occupancy vectors.
 func goldenLine(name string, r Result) string {
+	return fmt.Sprintf("%s\t%016x\t%016x\t%016x\t%016x\t%d\t%d\t%t\t%s\t%016x",
+		name, math.Float64bits(r.Loss), math.Float64bits(r.Lower), math.Float64bits(r.Upper),
+		math.Float64bits(r.GridStep), r.Bins, r.Iterations, r.Converged, r.Degraded, occupancyHash(r))
+}
+
+// occupancyHash is the FNV-1a hash over both occupancy vectors, each
+// prefixed by its length, that golden rows carry.
+func occupancyHash(r Result) uint64 {
 	h := fnv.New64a()
 	var word [8]byte
 	for _, occ := range [2][]float64{r.LowerOccupancy, r.UpperOccupancy} {
@@ -68,9 +76,7 @@ func goldenLine(name string, r Result) string {
 			h.Write(word[:])
 		}
 	}
-	return fmt.Sprintf("%s\t%016x\t%016x\t%016x\t%016x\t%d\t%d\t%t\t%s\t%016x",
-		name, math.Float64bits(r.Loss), math.Float64bits(r.Lower), math.Float64bits(r.Upper),
-		math.Float64bits(r.GridStep), r.Bins, r.Iterations, r.Converged, r.Degraded, h.Sum64())
+	return h.Sum64()
 }
 
 // sameBits fails unless two results agree bit for bit, occupancy vectors

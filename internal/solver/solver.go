@@ -296,7 +296,9 @@ type Result struct {
 	// Iterations is the total number of Lindley steps performed.
 	Iterations int
 	// Converged reports whether the RelGap target (or the loss floor) was
-	// met before exhausting MaxBins/MaxIterations.
+	// met before exhausting MaxBins/MaxIterations — or, for a Decide solve,
+	// whether the bracket decided the threshold first (Upper <= threshold
+	// or Lower > threshold), in which case Loss is still the midpoint.
 	Converged bool
 	// Degraded is nonempty when the solve stopped before its convergence
 	// target — context cancellation, deadline or budget expiry, or a
@@ -404,6 +406,11 @@ type Iterator struct {
 	// watchdog stays on and verifies Prop. II.1 validity every iteration.
 	warm      bool
 	seedIters int // the seeding solve's iteration count, for saved-work metrics
+
+	// threshold, when positive, is the loss a Decide solve must classify:
+	// the solve stops as soon as its bracket lies on one side of it. Zero
+	// (every other entry point) leaves the stopping rule untouched.
+	threshold float64
 }
 
 // NewIterator validates the queue and prepares the initial resolution.
@@ -668,7 +675,9 @@ func (it *Iterator) Refine() bool {
 	return true
 }
 
-// converged reports whether the current bounds meet the stopping rule.
+// converged reports whether the current bounds meet the stopping rule: the
+// loss floor, the RelGap target, or — for a Decide solve — a bracket that
+// already lies on one side of the threshold.
 func (it *Iterator) converged() (Result, bool) {
 	lo, hi := it.lowerLoss, it.upperLoss
 	if hi < it.cfg.LossFloor {
@@ -676,6 +685,9 @@ func (it *Iterator) converged() (Result, bool) {
 	}
 	mid := (hi + lo) / 2
 	if mid > 0 && hi-lo <= it.cfg.RelGap*mid {
+		return it.result(mid, lo, hi, true), true
+	}
+	if t := it.threshold; t > 0 && (hi <= t || lo > t) {
 		return it.result(mid, lo, hi, true), true
 	}
 	return Result{}, false

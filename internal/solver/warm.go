@@ -204,3 +204,22 @@ func SolveModelSeeded(ctx context.Context, m Model, cfg Config, seed *Seed) (Res
 	}
 	return it.solve(ctx)
 }
+
+// Decide is SolveModelSeeded with a decision stop: it classifies the loss
+// against threshold instead of estimating it, stopping at the first
+// iteration whose bracket lies on one side — Upper <= threshold (the loss
+// provably meets it) or Lower > threshold (it provably exceeds it). Either
+// verdict is sound at any iteration, because the bounds bracket the true
+// loss throughout (Prop. II.1, and the Seed contract for a seeded start).
+// A decided Result is Converged with Loss at the bracket midpoint; a loss
+// too close to the threshold to decide runs to the RelGap target as usual.
+// Until it stops, the solve steps exactly as SolveModelSeeded does. A
+// threshold that is not positive decides nothing.
+func Decide(ctx context.Context, m Model, cfg Config, seed *Seed, threshold float64) (Result, error) {
+	it, err := NewModelIteratorSeeded(m, cfg, seed)
+	if err != nil {
+		return Result{}, err
+	}
+	it.threshold = threshold
+	return it.solve(ctx)
+}
