@@ -14,6 +14,7 @@ package lrd_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -22,6 +23,7 @@ import (
 
 	"lrd"
 	"lrd/internal/core"
+	"lrd/internal/fft"
 	"lrd/internal/fgn"
 	"lrd/internal/solver"
 	"lrd/internal/traces"
@@ -309,10 +311,44 @@ func BenchmarkSolverStep(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		if err := it.Step(); err != nil {
 			b.Fatal(err)
 		}
+	}
+	elapsed := time.Since(start)
+	b.StopTimer()
+	recordBench(b, "SolverStep/m1024", float64(elapsed.Nanoseconds())/float64(b.N), b.N)
+}
+
+// BenchmarkConvolve measures one FFT convolution at the solver's shape, an
+// occupancy pmf of length M+1 against an increment pmf of length 2M+1, on
+// a reused Scratch (0 allocs/op) — the layer below BenchmarkSolverStep,
+// which makes two of these per step.
+func BenchmarkConvolve(b *testing.B) {
+	for _, m := range []int{256, 1024, 4096} {
+		b.Run(fmt.Sprintf("m%d", m), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			q, w := make([]float64, m+1), make([]float64, 2*m+1)
+			for i := range q {
+				q[i] = rng.Float64()
+			}
+			for i := range w {
+				w[i] = rng.Float64()
+			}
+			var s fft.Scratch
+			fft.ConvolveRealInto(q, w, &s) // grow the buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				fft.ConvolveRealInto(q, w, &s)
+			}
+			elapsed := time.Since(start)
+			b.StopTimer()
+			recordBench(b, fmt.Sprintf("Convolve/m%d", m), float64(elapsed.Nanoseconds())/float64(b.N), b.N)
+		})
 	}
 }
 

@@ -8,6 +8,16 @@
 // convolution of real sequences (the operation at the heart of the paper's
 // O(M log M) queue-occupancy recursion).
 //
+// The radix-2 kernel permutes its input into bit-reversed order by
+// advancing the reversed index with a carry that runs from the top bit
+// down, then fuses the butterfly stages two per pass over memory (halves h
+// and 2h over blocks of 4h, the four intermediate values held in locals;
+// an odd log₂n runs its first stage alone). Every value still goes
+// through the same butterflies, with the same twiddles, in the same order
+// as in one pass per stage, so each output has the same bits as the
+// unfused kernel's. The one exception is the payload and sign of a NaN,
+// which depend on the operand order the compiler picks.
+//
 // Twiddle factors for the radix-2 kernel are precomputed per transform
 // size and cached process-wide (the solver hits the same handful of sizes
 // millions of times during a sweep). SetRecorder attaches a telemetry
@@ -147,21 +157,25 @@ func transform(x []complex128, inverse bool) {
 }
 
 // radix2 computes an unnormalized in-place DFT for power-of-two lengths
-// using the iterative decimation-in-time Cooley–Tukey algorithm. The
-// twiddle factors come from the process-wide plan cache, so after the
-// first transform of a given size the kernel performs no trigonometry at
-// all — the dominant setup cost of the per-step solver convolution
-// otherwise.
+// using the iterative decimation-in-time Cooley–Tukey algorithm, two
+// stages per pass over x. The twiddle factors come from the process-wide
+// plan cache, so after the first transform of a given size the kernel
+// performs no trigonometry at all — the dominant setup cost of the
+// per-step solver convolution otherwise.
 func radix2(x []complex128, inverse bool) {
 	n := len(x)
 	if rec := recorder(); rec != nil {
 		rec.Observe(obs.MetricFFTTransformSize, float64(n))
 	}
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	// Bit-reversal permutation.
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
+	// Bit-reversal permutation: j is i with its log₂n bits reversed, so
+	// incrementing i adds one to j from the top bit down.
+	for i, j := 1, 0; i < n; i++ {
+		bit := n >> 1
+		for ; j&bit != 0; bit >>= 1 {
+			j ^= bit
+		}
+		j |= bit
+		if i < j {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
@@ -170,15 +184,57 @@ func radix2(x []complex128, inverse bool) {
 	if inverse {
 		tw = p.inv
 	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		stage := tw[half-1 : 2*half-1]
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * stage[k]
-				x[start+k] = a + b
-				x[start+k+half] = a - b
+	h := 1
+	if bits.TrailingZeros(uint(n))%2 == 1 {
+		// Odd log₂n: the first stage runs alone, the rest in pairs.
+		w := tw[0]
+		for i := 0; i < n; i += 2 {
+			q := x[i : i+2 : i+2]
+			a, b := q[0], q[1]*w
+			q[0], q[1] = a+b, a-b
+		}
+		h = 2
+	} else if n >= 4 {
+		// The first pair of stages has one twiddle per quarter block.
+		w1, w2a, w2b := tw[0], tw[1], tw[2]
+		for i := 0; i < n; i += 4 {
+			q := x[i : i+4 : i+4]
+			b0 := q[1] * w1
+			s0, d0 := q[0]+b0, q[0]-b0
+			b2 := q[3] * w1
+			s2, d2 := q[2]+b2, q[2]-b2
+			c0 := s2 * w2a
+			q[0], q[2] = s0+c0, s0-c0
+			c1 := d2 * w2b
+			q[1], q[3] = d0+c1, d0-c1
+		}
+		h = 4
+	}
+	// Each pass runs the stages with halves h and 2h over blocks of 4h. At
+	// offset k of a block's quarters x0…x3, the half-h butterflies join
+	// (x0, x1) and (x2, x3) with twiddle w1[k], then the half-2h ones join
+	// the two sums with w2a[k] = w_{4h}^k and the two differences with
+	// w2b[k] = w_{4h}^{h+k}: the operations two one-stage passes perform,
+	// on the same values. Slicing every quarter to len(w1) lets the
+	// compiler drop the inner loop's bounds checks.
+	for ; h < n; h *= 4 {
+		w1 := tw[h-1 : 2*h-1]
+		w2a := tw[2*h-1 : 3*h-1][:len(w1)]
+		w2b := tw[3*h-1 : 4*h-1][:len(w1)]
+		for i := 0; i < n; i += 4 * h {
+			x0 := x[i : i+h][:len(w1)]
+			x1 := x[i+h : i+2*h][:len(w1)]
+			x2 := x[i+2*h : i+3*h][:len(w1)]
+			x3 := x[i+3*h : i+4*h][:len(w1)]
+			for k := range w1 {
+				b0 := x1[k] * w1[k]
+				s0, d0 := x0[k]+b0, x0[k]-b0
+				b2 := x3[k] * w1[k]
+				s2, d2 := x2[k]+b2, x2[k]-b2
+				c0 := s2 * w2a[k]
+				x0[k], x2[k] = s0+c0, s0-c0
+				c1 := d2 * w2b[k]
+				x1[k], x3[k] = d0+c1, d0-c1
 			}
 		}
 	}
@@ -232,61 +288,17 @@ func bluestein(x []complex128, inverse bool) {
 // and b: out[k] = sum_i a[i]*b[k-i], with len(out) = len(a)+len(b)-1.
 // The transform length is padded to the next power of two, giving
 // O((n+m) log(n+m)) time. Either input being empty yields an empty result.
+// The result is ConvolveRealInto's on a fresh Scratch, which the caller
+// then owns.
 func ConvolveReal(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	outLen := len(a) + len(b) - 1
-	if DirectConvolutionSizes(len(a), len(b)) {
-		// Small problems: the direct algorithm is both faster and exact.
-		if rec := recorder(); rec != nil {
-			rec.Add(obs.MetricFFTConvolveNaive, 1)
-		}
-		return convolveNaive(a, b)
-	}
-	if rec := recorder(); rec != nil {
-		rec.Add(obs.MetricFFTConvolveViaFFT, 1)
-	}
-	m := 1
-	for m < outLen {
-		m <<= 1
-	}
-	// Pack both real sequences into one complex transform: z = a + i*b.
-	z := make([]complex128, m)
-	for i, v := range a {
-		z[i] = complex(v, 0)
-	}
-	for i, v := range b {
-		z[i] += complex(0, v)
-	}
-	radix2(z, false)
-	// With Z = A + iB, A[k] = (Z[k] + conj(Z[-k]))/2 and
-	// B[k] = (Z[k] - conj(Z[-k]))/(2i); the product spectrum is A.*B.
-	prod := make([]complex128, m)
-	for k := 0; k <= m/2; k++ {
-		kr := (m - k) % m
-		zk, zkr := z[k], z[kr]
-		ak := (zk + complex(real(zkr), -imag(zkr))) * 0.5
-		bk := (zk - complex(real(zkr), -imag(zkr))) * complex(0, -0.5)
-		p := ak * bk
-		prod[k] = p
-		if kr != k {
-			prod[kr] = complex(real(p), -imag(p))
-		}
-	}
-	radix2(prod, true)
-	out := make([]float64, outLen)
-	inv := 1 / float64(m)
-	for i := range out {
-		out[i] = real(prod[i]) * inv
-	}
-	return out
+	var s Scratch
+	return ConvolveRealInto(a, b, &s)
 }
 
 // convolveNaive is the O(n·m) direct convolution used for small inputs and
-// as the reference implementation in tests.
-func convolveNaive(a, b []float64) []float64 {
-	out := make([]float64, len(a)+len(b)-1)
+// as the reference implementation in tests. It accumulates into out, which
+// must be zeroed and of length len(a)+len(b)-1, and returns it.
+func convolveNaive(a, b, out []float64) []float64 {
 	for i, av := range a {
 		if av == 0 {
 			continue
@@ -305,7 +317,7 @@ func ConvolveRealNaive(a, b []float64) []float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return nil
 	}
-	return convolveNaive(a, b)
+	return convolveNaive(a, b, make([]float64, len(a)+len(b)-1))
 }
 
 // Periodogram returns the one-sided periodogram I(f_j) of the real series x

@@ -31,36 +31,26 @@ func grownFloat(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// ConvolveRealInto is ConvolveReal with caller-owned scratch buffers: it
-// performs the same arithmetic operation for operation, so the result is
-// bit-identical, but the returned slice is owned by s and only valid until
-// the next call with the same Scratch. A nil Scratch falls back to
-// ConvolveReal.
+// ConvolveRealInto is ConvolveReal with caller-owned scratch buffers: the
+// returned slice is owned by s and only valid until the next call with the
+// same Scratch. A nil Scratch allocates a fresh one. The result never
+// depends on what s last held.
 func ConvolveRealInto(a, b []float64, s *Scratch) []float64 {
 	if s == nil {
-		return ConvolveReal(a, b)
+		s = new(Scratch)
 	}
 	if len(a) == 0 || len(b) == 0 {
 		return nil
 	}
 	outLen := len(a) + len(b) - 1
 	if DirectConvolutionSizes(len(a), len(b)) {
+		// Small problems: the direct algorithm is both faster and exact.
 		if rec := recorder(); rec != nil {
 			rec.Add(obs.MetricFFTConvolveNaive, 1)
 		}
-		// convolveNaive accumulates into its output, so the reused buffer
-		// must start zeroed.
 		s.out = grownFloat(s.out, outLen)
 		clear(s.out)
-		for i, av := range a {
-			if av == 0 {
-				continue
-			}
-			for j, bv := range b {
-				s.out[i+j] += av * bv
-			}
-		}
-		return s.out
+		return convolveNaive(a, b, s.out)
 	}
 	if rec := recorder(); rec != nil {
 		rec.Add(obs.MetricFFTConvolveViaFFT, 1)
@@ -82,12 +72,17 @@ func ConvolveRealInto(a, b []float64, s *Scratch) []float64 {
 		z[i] += complex(0, v)
 	}
 	radix2(z, false)
+	// With Z = A + iB, A[k] = (Z[k] + conj(Z[-k]))/2 and
+	// B[k] = (Z[k] - conj(Z[-k]))/(2i); the product spectrum is A.*B.
 	// Every index of prod is written below (k covers 0..m/2, kr covers the
 	// mirror half), so no clearing is needed.
 	prod := grownComplex(s.prod, m)
 	s.prod = prod
 	for k := 0; k <= m/2; k++ {
-		kr := (m - k) % m
+		kr := m - k
+		if k == 0 {
+			kr = 0 // the only index whose mirror wraps
+		}
 		zk, zkr := z[k], z[kr]
 		ak := (zk + complex(real(zkr), -imag(zkr))) * 0.5
 		bk := (zk - complex(real(zkr), -imag(zkr))) * complex(0, -0.5)

@@ -6,11 +6,13 @@ import (
 	"testing"
 )
 
-// TestConvolveRealIntoBitIdentical drives ConvolveRealInto across both the
-// direct and FFT paths, reusing one Scratch between calls of different
-// sizes, and requires bitwise equality with ConvolveReal for every output
-// element. The solver's pooled scratch leans on exactly this guarantee:
-// a result never depends on which Scratch its solve borrowed.
+// TestConvolveRealIntoBitIdentical drives ConvolveReal and ConvolveRealInto
+// across both the direct and FFT paths, reusing one Scratch between calls
+// of different sizes, and requires bitwise equality of every output
+// element with convolveRealRef, the convolution arithmetic on the
+// one-stage-per-pass reference kernel. The solver's pooled scratch leans
+// on the reuse half of this guarantee: a result never depends on which
+// Scratch its solve borrowed.
 func TestConvolveRealIntoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var s Scratch
@@ -28,15 +30,22 @@ func TestConvolveRealIntoBitIdentical(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		want := ConvolveReal(a, b)
-		got := ConvolveRealInto(a, b, &s)
-		if len(got) != len(want) {
-			t.Fatalf("size %v: len %d, want %d", sz, len(got), len(want))
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("size %v: out[%d] = %x, want %x (not bit-identical)",
-					sz, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		want := convolveRealRef(a, b)
+		for _, path := range []struct {
+			name string
+			got  []float64
+		}{
+			{"ConvolveReal", ConvolveReal(a, b)},
+			{"ConvolveRealInto", ConvolveRealInto(a, b, &s)},
+		} {
+			if len(path.got) != len(want) {
+				t.Fatalf("%s size %v: len %d, want %d", path.name, sz, len(path.got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(path.got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s size %v: out[%d] = %x, want %x (not bit-identical)",
+						path.name, sz, i, math.Float64bits(path.got[i]), math.Float64bits(want[i]))
+				}
 			}
 		}
 	}

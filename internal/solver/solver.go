@@ -559,12 +559,16 @@ func (it *Iterator) Step() error {
 	if it.cfg.Recorder != nil {
 		stepStart = time.Now()
 	}
+	// The output double-buffers come from the scratch free list, and a pair
+	// a Refine outgrew goes back to it.
 	n := it.bins + 1
 	if cap(it.qlNext) < n {
-		it.qlNext = make([]float64, n)
+		it.scratch.putFloat(it.qlNext)
+		it.qlNext = it.scratch.getFloat(n)
 	}
 	if cap(it.qhNext) < n {
-		it.qhNext = make([]float64, n)
+		it.scratch.putFloat(it.qhNext)
+		it.qhNext = it.scratch.getFloat(n)
 	}
 	conv := &it.scratch.conv
 	ql, driftL := lindleyStepInto(it.ql, it.wl, it.bins, conv, it.qlNext[:n])
