@@ -22,6 +22,7 @@ import (
 	"lrd/internal/fluid"
 	"lrd/internal/lrdest"
 	"lrd/internal/obs"
+	"lrd/internal/resilient"
 	"lrd/internal/solver"
 	"lrd/internal/source"
 	"lrd/internal/traces"
@@ -372,7 +373,7 @@ func computeCell(ctx context.Context, cfg SweepConfig, fullKey string, compute f
 		if rec != nil {
 			rec.Add(obs.MetricCoreCellsRetried, 1)
 		}
-		if serr := sleepCtx(ctx, cfg.Retry.backoff(attempt)); serr != nil {
+		if serr := resilient.Sleep(ctx, cfg.Retry.backoff(attempt)); serr != nil {
 			if err != nil {
 				return Point{}, err
 			}

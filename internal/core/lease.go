@@ -11,6 +11,7 @@ import (
 	"lrd/internal/faultinject"
 	"lrd/internal/journal"
 	"lrd/internal/obs"
+	"lrd/internal/resilient"
 )
 
 // LeaseClaimer is the coordination interface lease-aware cell stores add
@@ -55,17 +56,6 @@ type LeaseStoreOptions struct {
 	Warn io.Writer
 }
 
-type leaseDone struct {
-	value json.RawMessage
-	epoch int64
-}
-
-type leaseClaim struct {
-	worker   string
-	epoch    int64
-	deadline int64 // UnixNano
-}
-
 // LeaseStore is the distributed CellStore: an append-only journal
 // (internal/journal) shared by N coordinator-free worker processes, used
 // both as the durability layer and as the work queue. Ownership of a cell
@@ -85,10 +75,12 @@ type leaseClaim struct {
 //     claimant takes the cell over at a higher epoch.
 //   - Fence: completions carry the epoch of the lease they were computed
 //     under, and on conflicting completions the highest epoch wins
-//     regardless of append order (journal.Completed). A zombie — a worker
-//     that stalled, lost its lease, and finished anyway — appends a
-//     completion with a visibly stale epoch that loses every fold, so it
-//     can never overwrite the newer holder's result.
+//     regardless of append order. A zombie — a worker that stalled, lost
+//     its lease, and finished anyway — appends a completion with a visibly
+//     stale epoch that loses every fold, so it can never overwrite the
+//     newer holder's result. The store applies records through
+//     journal.Fold, the same conflict rules resume, compaction and the
+//     fleet view use.
 //
 // LeaseStore implements CellStore and LeaseClaimer; it is safe for
 // concurrent use by the sweep worker pool plus the heartbeat goroutine.
@@ -104,11 +96,9 @@ type LeaseStore struct {
 	w *journal.Writer
 
 	mu     sync.Mutex
-	offset int64                 // journal bytes folded so far
-	done   map[string]leaseDone  // winning completion per cell
-	claims map[string]leaseClaim // live claim per cell
-	epochs map[string]int64      // highest epoch ever seen per cell
-	held   map[string]int64      // leases this worker holds -> epoch
+	offset int64            // journal bytes folded so far
+	cells  journal.Fold     // completions, live claims and epochs per cell
+	held   map[string]int64 // leases this worker holds -> epoch
 }
 
 // OpenLeaseStore opens the shared work journal at path and folds its
@@ -141,9 +131,6 @@ func OpenLeaseStore(path string, opts LeaseStoreOptions) (*LeaseStore, error) {
 		rec:    opts.Recorder,
 		warn:   opts.Warn,
 		now:    time.Now,
-		done:   map[string]leaseDone{},
-		claims: map[string]leaseClaim{},
-		epochs: map[string]int64{},
 		held:   map[string]int64{},
 	}
 	w, err := journal.Open(path, true)
@@ -205,51 +192,15 @@ func (s *LeaseStore) refreshLocked() error {
 	return nil
 }
 
-// foldLocked applies one journal record to the in-memory lease state.
-// These rules are the shared-queue semantics; every worker folds the same
+// foldLocked applies one journal record to the in-memory lease state and
+// returns the record's cell as it was before. Every worker folds the same
 // records in the same file order, so all reach the same state.
-func (s *LeaseStore) foldLocked(rec journal.Record) {
-	if rec.Epoch > s.epochs[rec.Key] {
-		s.epochs[rec.Key] = rec.Epoch
-		if s.rec != nil {
-			s.rec.Set(obs.MetricCoreLeaseEpoch, float64(rec.Epoch))
-		}
+func (s *LeaseStore) foldLocked(rec journal.Record) (prev journal.Cell) {
+	prev = s.cells.Apply(rec)
+	if rec.Epoch > prev.MaxEpoch && s.rec != nil {
+		s.rec.Set(obs.MetricCoreLeaseEpoch, float64(rec.Epoch))
 	}
-	switch rec.Status {
-	case journal.StatusOK:
-		if cur, ok := s.done[rec.Key]; !ok || rec.Epoch >= cur.epoch {
-			s.done[rec.Key] = leaseDone{value: rec.Value, epoch: rec.Epoch}
-			// The completion consumes any claim it supersedes.
-			if c, ok := s.claims[rec.Key]; ok && rec.Epoch >= c.epoch {
-				delete(s.claims, rec.Key)
-			}
-		}
-		// Else: a fenced zombie write — counted by whoever observes it.
-		// (Our own fenced completions are counted at Store time.)
-	case journal.StatusFail:
-		if cur, ok := s.done[rec.Key]; ok && rec.Epoch >= cur.epoch {
-			delete(s.done, rec.Key)
-		}
-	case journal.StatusClaimed:
-		cur, ok := s.claims[rec.Key]
-		switch {
-		case rec.Deadline <= 0:
-			// Release: only the holder at the claim's own epoch may release.
-			if ok && cur.worker == rec.Worker && cur.epoch == rec.Epoch {
-				delete(s.claims, rec.Key)
-			}
-		case !ok || rec.Epoch > cur.epoch:
-			s.claims[rec.Key] = leaseClaim{worker: rec.Worker, epoch: rec.Epoch, deadline: rec.Deadline}
-		case rec.Epoch == cur.epoch && rec.Worker == cur.worker:
-			// Renewal: deadlines only ever extend.
-			if rec.Deadline > cur.deadline {
-				cur.deadline = rec.Deadline
-				s.claims[rec.Key] = cur
-			}
-			// Equal-epoch claims from a different worker lose by file order:
-			// the fold keeps the first, ignores the rest.
-		}
-	}
+	return prev
 }
 
 // Acquire implements LeaseClaimer. It loops: adopt the cell if some worker
@@ -273,7 +224,7 @@ func (s *LeaseStore) Acquire(ctx context.Context, key string) (json.RawMessage, 
 		}
 		// Another live worker holds the cell: wait and re-read.
 		waited = true
-		if err := sleepCtx(ctx, s.poll); err != nil {
+		if err := resilient.Sleep(ctx, s.poll); err != nil {
 			return nil, false, err
 		}
 	}
@@ -288,20 +239,20 @@ func (s *LeaseStore) tryAcquire(key string) (value json.RawMessage, acquired, de
 	if err := s.refreshLocked(); err != nil {
 		return nil, false, false, err
 	}
-	if d, ok := s.done[key]; ok {
-		return d.value, false, true, nil
+	c := s.cells.Cell(key)
+	if c.OK != nil {
+		return c.OK.Value, false, true, nil
 	}
 	if _, ok := s.held[key]; ok {
 		// Re-entrant acquire of a lease this worker already holds.
 		return nil, true, true, nil
 	}
-	now := s.now().UnixNano()
-	c, claimed := s.claims[key]
-	if claimed && c.deadline > now {
+	claimed := c.Claim != nil
+	if claimed && c.Claim.Deadline > s.now().UnixNano() {
 		return nil, false, false, nil // live claim by another worker
 	}
 	// Unclaimed, expired, or released: claim at a fresh fencing epoch.
-	epoch := s.epochs[key] + 1
+	epoch := c.MaxEpoch + 1
 	deadline := s.now().Add(s.ttl).UnixNano()
 	if _, err := s.w.Append(journal.Record{
 		Key: key, Status: journal.StatusClaimed,
@@ -314,11 +265,12 @@ func (s *LeaseStore) tryAcquire(key string) (value json.RawMessage, acquired, de
 	if err := s.refreshLocked(); err != nil {
 		return nil, false, false, err
 	}
-	if d, ok := s.done[key]; ok {
+	c = s.cells.Cell(key)
+	if c.OK != nil {
 		// A completion slipped in between our read and our claim.
-		return d.value, false, true, nil
+		return c.OK.Value, false, true, nil
 	}
-	if w, ok := s.claims[key]; ok && w.worker == s.worker && w.epoch == epoch {
+	if w := c.Claim; w != nil && w.Worker == s.worker && w.Epoch == epoch {
 		s.held[key] = epoch
 		if s.rec != nil {
 			s.rec.Add(obs.MetricCoreLeasesClaimed, 1)
@@ -369,8 +321,10 @@ func (s *LeaseStore) Lookup(key string) (json.RawMessage, bool) {
 	if err := s.refreshLocked(); err != nil {
 		return nil, false
 	}
-	d, ok := s.done[key]
-	return d.value, ok
+	if done := s.cells.Cell(key).OK; done != nil {
+		return done.Value, true
+	}
+	return nil, false
 }
 
 // Store implements CellStore: it completes the cell under the lease this
@@ -388,10 +342,11 @@ func (s *LeaseStore) Store(key string, value any) error {
 		s.rec.Set(obs.MetricCoreLeasesHeld, float64(len(s.held)))
 	}
 	s.mu.Unlock()
-	n, err := s.w.Append(journal.Record{
+	rec := journal.Record{
 		Key: key, Status: journal.StatusOK, Value: raw,
 		Worker: s.worker, Epoch: epoch,
-	})
+	}
+	n, err := s.w.Append(rec)
 	if err != nil {
 		return err
 	}
@@ -402,19 +357,11 @@ func (s *LeaseStore) Store(key string, value any) error {
 	// is tolerable — the append above already made the record durable and
 	// the next refresh re-folds from the same offset.
 	_ = s.refreshLocked()
-	if cur, ok := s.done[key]; !ok || epoch >= cur.epoch {
-		s.done[key] = leaseDone{value: raw, epoch: epoch}
-		if c, ok := s.claims[key]; ok && epoch >= c.epoch {
-			delete(s.claims, key)
-		}
-	} else if s.rec != nil {
+	if prev := s.foldLocked(rec); prev.OK != nil && prev.OK.Epoch > epoch && s.rec != nil {
 		// Our lease was stolen mid-compute and the thief finished first:
 		// our write just lost the epoch fold. Harmless — fencing working
 		// as designed — but worth counting.
 		s.rec.Add(obs.MetricCoreLeasesFenced, 1)
-	}
-	if epoch > s.epochs[key] {
-		s.epochs[key] = epoch
 	}
 	s.mu.Unlock()
 	if s.rec != nil {
@@ -448,20 +395,18 @@ func (s *LeaseStore) Completed() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_ = s.refreshLocked() // best effort; a refresh error just undercounts
-	return len(s.done)
+	return s.cells.Completed()
 }
 
-// Range calls fn for every completed cell currently folded, stopping early
-// when fn returns false. Iteration order is unspecified; fn must not call
-// back into the store.
+// Range calls fn for every completed cell currently folded, in journal
+// order, stopping early when fn returns false. fn must not call back into
+// the store.
 func (s *LeaseStore) Range(fn func(key string, value json.RawMessage) bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for k, d := range s.done {
-		if !fn(k, d.value) {
-			return
-		}
-	}
+	s.cells.Range(func(key string, c journal.Cell) bool {
+		return c.OK == nil || fn(key, c.OK.Value)
+	})
 }
 
 // StartHeartbeat starts the lease-renewal goroutine: every TTL/3 it
@@ -514,7 +459,7 @@ func (s *LeaseStore) renewHeld() {
 	}
 	var renew []renewal
 	for key, epoch := range s.held {
-		if c, ok := s.claims[key]; !ok || c.worker != s.worker || c.epoch != epoch {
+		if c := s.cells.Cell(key).Claim; c == nil || c.Worker != s.worker || c.Epoch != epoch {
 			// The lease was stolen out from under us (we stalled past the
 			// TTL). Stop renewing; if the compute still in flight completes,
 			// its stale-epoch write will be fenced out.

@@ -339,8 +339,8 @@ func TestLeaseReleaseMakesCellImmediatelyClaimable(t *testing.T) {
 	if err := w2.refreshLocked(); err != nil {
 		t.Fatal(err)
 	}
-	if c, ok := w2.claims["cell"]; !ok || c.worker != "w2" {
-		t.Fatalf("w1's stale release disturbed w2's claim: %+v ok=%t", c, ok)
+	if c := w2.cells.Cell("cell").Claim; c == nil || c.Worker != "w2" {
+		t.Fatalf("w1's stale release disturbed w2's claim: %+v", c)
 	}
 }
 

@@ -274,6 +274,23 @@ func TestRetryGivesUpAfterBudget(t *testing.T) {
 	}
 }
 
+// TestRetryBackoffFullJitter: the k-th retry waits uniformly on
+// [0, min(5 s, Backoff·2^(k-1))] — full jitter, never above the schedule.
+func TestRetryBackoffFullJitter(t *testing.T) {
+	p := RetryPolicy{Backoff: 100 * time.Millisecond}
+	for k := 1; k <= 8; k++ {
+		limit := p.Backoff << (k - 1)
+		if limit > 5*time.Second {
+			limit = 5 * time.Second
+		}
+		for i := 0; i < 1000; i++ {
+			if d := p.backoff(k); d < 0 || d > limit {
+				t.Fatalf("backoff(%d) = %v, outside [0, %v]", k, d, limit)
+			}
+		}
+	}
+}
+
 // cancelAfterStores interrupts a serial sweep after n durable checkpoints.
 type cancelAfterStores struct {
 	CellStore

@@ -15,6 +15,7 @@ import (
 	"lrd/internal/fluid"
 	"lrd/internal/journal"
 	"lrd/internal/obs"
+	"lrd/internal/resilient"
 	"lrd/internal/solver"
 	"lrd/internal/source"
 )
@@ -217,19 +218,21 @@ func (s *JournalStore) Close() error { return s.w.Close() }
 // sweep cells: a cell whose solve tripped the numeric watchdog
 // (solver.RetryableError) or degraded for a retryable reason
 // (DegradeReason.Retryable — deadline, cancellation) is re-run up to
-// MaxAttempts times with exponential backoff and jitter between attempts.
-// Terminal outcomes — iteration-budget exhaustion, numeric stalls,
-// malformed inputs — are never retried. The zero value disables retries.
+// MaxAttempts times, waiting between attempts by resilient.Backoff:
+// exponential backoff with full jitter, capped at 5 s. Terminal outcomes —
+// iteration-budget exhaustion, numeric stalls, malformed inputs — are
+// never retried. The zero value disables retries.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts per cell (first try
 	// included). Values below 1 mean a single attempt, i.e. no retry.
 	MaxAttempts int
-	// Backoff is the base delay before the second attempt; attempt k waits
-	// Backoff·2^(k-2), jittered uniformly over [0.5×, 1.5×]. Default 100 ms.
+	// Backoff is the base delay: after the k-th failed attempt the cell
+	// waits uniformly on [0, min(5 s, Backoff·2^(k-1))]. Default 100 ms.
 	Backoff time.Duration
-	// MaxBackoff caps the jittered delay. Default 5 s.
-	MaxBackoff time.Duration
 }
+
+// maxRetryBackoff caps every retry delay.
+const maxRetryBackoff = 5 * time.Second
 
 func (p RetryPolicy) attempts() int {
 	if p.MaxAttempts < 1 {
@@ -241,50 +244,14 @@ func (p RetryPolicy) attempts() int {
 // backoff returns the jittered delay to wait after a failed attempt
 // (attempt counts from 1). Jitter decorrelates the retries of cells that
 // failed together — e.g. a whole worker pool degraded by one slow machine
-// moment — so they do not re-land in lockstep.
+// moment — so they do not re-land in lockstep. It is timing-only
+// randomness: results are unaffected, so sweep determinism is preserved.
 func (p RetryPolicy) backoff(attempt int) time.Duration {
 	base := p.Backoff
 	if base <= 0 {
 		base = 100 * time.Millisecond
 	}
-	limit := p.MaxBackoff
-	if limit <= 0 {
-		limit = 5 * time.Second
-	}
-	d := base
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if d >= limit || d <= 0 { // overflow guard
-			d = limit
-			break
-		}
-	}
-	if d > limit {
-		d = limit
-	}
-	// Uniform jitter in [0.5·d, 1.5·d]. Timing-only randomness: results are
-	// unaffected, so sweep determinism is preserved.
-	j := d/2 + time.Duration(rand.Int63n(int64(d)+1))
-	if j > limit {
-		j = limit
-	}
-	return j
-}
-
-// sleepCtx waits d or until ctx is done, returning the context error when
-// interrupted.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
+	return resilient.Backoff(base, maxRetryBackoff, attempt, rand.Float64())
 }
 
 // SweepConfig bundles what every sweep needs beyond its grid: the solver

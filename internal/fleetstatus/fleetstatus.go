@@ -3,10 +3,11 @@
 // writes every claim, renewal, release, and completion as a journal
 // record, *any* process that can read the journal can reconstruct who is
 // doing what — without talking to the workers. The Aggregator tails the
-// journal incrementally (journal.ReadFrom) and folds the records with the
-// same last-record-wins, epoch-fenced rules the lease store itself uses,
-// yielding per-worker cells claimed/completed/stolen, live lease
-// deadlines, straggler flags, and grid completion.
+// journal incrementally (journal.ReadFrom) and applies the records through
+// journal.Fold, the conflict rules resume and the lease store use too, so
+// its done and in-flight cells are the workers' own. On top of the fold
+// it credits per-worker cells claimed/completed/stolen and reports live
+// lease deadlines, straggler flags, and grid completion.
 //
 // It backs `GET /v1/status` (plus the SSE stream) on lrdserve and the
 // `lrdsweep -status` / lrdtop watch surfaces.
@@ -35,20 +36,6 @@ type Options struct {
 	Now func() time.Time
 }
 
-// claim is one live lease reconstructed from the journal.
-type claim struct {
-	worker   string
-	epoch    int64
-	deadline int64 // UnixNano
-}
-
-// cellState is the folded state of one journal key.
-type cellState struct {
-	done      bool
-	doneEpoch int64
-	claim     *claim
-}
-
 // workerAgg accumulates one worker's counters across the fold.
 type workerAgg struct {
 	claimed   int
@@ -72,7 +59,7 @@ type Aggregator struct {
 	crcBad  int
 	reopens int
 	fi      os.FileInfo // identity of the file the offset belongs to
-	cells   map[string]*cellState
+	cells   journal.Fold
 	workers map[string]*workerAgg
 }
 
@@ -85,7 +72,6 @@ func New(path string, opts Options) *Aggregator {
 	return &Aggregator{
 		path:    path,
 		opts:    opts,
-		cells:   map[string]*cellState{},
 		workers: map[string]*workerAgg{},
 	}
 }
@@ -126,7 +112,7 @@ func (a *Aggregator) resetLocked() {
 	a.corrupt = 0
 	a.crcBad = 0
 	a.reopens++
-	a.cells = map[string]*cellState{}
+	a.cells = journal.Fold{}
 	a.workers = map[string]*workerAgg{}
 }
 
@@ -139,62 +125,41 @@ func (a *Aggregator) worker(name string) *workerAgg {
 	return w
 }
 
-func (a *Aggregator) cell(key string) *cellState {
-	c := a.cells[key]
-	if c == nil {
-		c = &cellState{}
-		a.cells[key] = c
-	}
-	return c
-}
-
-// fold applies one record with the lease store's conflict rules: ok
-// records with a current-or-newer epoch complete the cell and consume its
-// claim; claimed records with Deadline <= 0 release; a higher-epoch claim
-// supersedes (steals) a live one; a same-holder claim is a renewal.
+// fold applies one record through the journal fold and credits its
+// writer from the transition: a completion counts only when the cell was
+// not done before it, a claim on a done cell counts for nothing, and a
+// worker gets a row only once something is credited to it (so a fenced
+// zombie with no other records stays invisible).
 func (a *Aggregator) fold(rec journal.Record) {
-	c := a.cell(rec.Key)
+	prev := a.cells.Apply(rec)
 	switch rec.Status {
 	case journal.StatusOK:
-		if c.done && rec.Epoch < c.doneEpoch {
-			return // zombie completion, fenced off
-		}
-		if !c.done {
+		if prev.OK == nil {
 			a.worker(rec.Worker).completed++
 		}
-		c.done, c.doneEpoch, c.claim = true, rec.Epoch, nil
 	case journal.StatusFail:
 		a.worker(rec.Worker).failures++
 	case journal.StatusClaimed:
-		if c.done {
+		if prev.OK != nil {
 			return // stale claim on a finished cell
 		}
-		if rec.Deadline <= 0 {
-			// Release: only the current holder's release clears the claim.
-			if c.claim != nil && c.claim.worker == rec.Worker && c.claim.epoch == rec.Epoch {
-				c.claim = nil
+		holder := prev.Claim != nil && prev.Claim.Worker == rec.Worker && prev.Claim.Epoch == rec.Epoch
+		switch {
+		case rec.Deadline <= 0:
+			if holder { // only the holder's own release clears the claim
 				a.worker(rec.Worker).released++
 			}
-			return
-		}
-		switch {
-		case c.claim == nil:
+		case prev.Claim == nil:
 			a.worker(rec.Worker).claimed++
-			c.claim = &claim{worker: rec.Worker, epoch: rec.Epoch, deadline: rec.Deadline}
-		case c.claim.worker == rec.Worker && c.claim.epoch == rec.Epoch:
-			// Heartbeat renewal: deadlines only ever extend.
-			if rec.Deadline > c.claim.deadline {
-				c.claim.deadline = rec.Deadline
-			}
-			a.worker(rec.Worker).renewed++
-		case rec.Epoch > c.claim.epoch:
+		case holder:
+			a.worker(rec.Worker).renewed++ // heartbeat renewal
+		case rec.Epoch > prev.Claim.Epoch:
 			// A newer fencing epoch supersedes the live claim — a steal when
 			// the previous holder was someone else (it let the lease expire).
-			if c.claim.worker != rec.Worker {
+			if prev.Claim.Worker != rec.Worker {
 				a.worker(rec.Worker).stolen++
 			}
 			a.worker(rec.Worker).claimed++
-			c.claim = &claim{worker: rec.Worker, epoch: rec.Epoch, deadline: rec.Deadline}
 		}
 		// An equal-or-older epoch from another worker lost the claim race;
 		// the file-order winner already holds the cell.
@@ -270,29 +235,27 @@ func (a *Aggregator) Status() (Status, error) {
 		hasStraggle bool
 	}
 	live := map[string]*liveAgg{}
-	for _, c := range a.cells {
-		if c.done {
-			s.CellsDone++
-			continue
-		}
-		if c.claim == nil {
-			continue
+	s.CellsDone = a.cells.Completed()
+	a.cells.Range(func(_ string, c journal.Cell) bool {
+		if c.OK != nil || c.Claim == nil {
+			return true
 		}
 		s.CellsInFlight++
-		la := live[c.claim.worker]
+		la := live[c.Claim.Worker]
 		if la == nil {
 			la = &liveAgg{minRemain: math.Inf(1)}
-			live[c.claim.worker] = la
+			live[c.Claim.Worker] = la
 		}
 		la.live++
-		remain := time.Duration(c.claim.deadline - now.UnixNano()).Seconds()
+		remain := time.Duration(c.Claim.Deadline - now.UnixNano()).Seconds()
 		if remain < la.minRemain {
 			la.minRemain = remain
 		}
 		if remain < 0 {
 			la.hasStraggle = true
 		}
-	}
+		return true
+	})
 	names := make([]string, 0, len(a.workers))
 	for name := range a.workers {
 		names = append(names, name)

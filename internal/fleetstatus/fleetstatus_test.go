@@ -229,3 +229,39 @@ func TestWriteText(t *testing.T) {
 		}
 	}
 }
+
+// TestFailAfterZombieCompletionReopensCell: a zombie's stale completion
+// followed by a failed attempt from the lease holder leaves the cell open
+// under the holder's live lease — as resume and every worker see it — and
+// the holder's own completion then finishes it.
+func TestFailAfterZombieCompletionReopensCell(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.journal")
+	recs := []journal.Record{
+		{Key: "c", Status: journal.StatusClaimed, Worker: "victim", Epoch: 1, Deadline: deadline(-time.Second)},
+		{Key: "c", Status: journal.StatusClaimed, Worker: "thief", Epoch: 2, Deadline: deadline(time.Minute)},
+		{Key: "c", Status: journal.StatusOK, Worker: "victim", Epoch: 1, Value: []byte(`"stale"`)},
+		{Key: "c", Status: journal.StatusFail, Worker: "thief", Epoch: 2, Error: "transient"},
+	}
+	writeRecords(t, path, recs)
+	a := New(path, Options{ExpectedCells: 1, Now: func() time.Time { return fixedNow }})
+	st, err := a.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CellsDone != 0 || st.CellsInFlight != 1 || st.CompletionPct != 0 {
+		t.Fatalf("after the fail: %d done, %d in flight, %g%%; want 0, 1, 0%%", st.CellsDone, st.CellsInFlight, st.CompletionPct)
+	}
+	if done := journal.Completed(recs); len(done) != 0 {
+		t.Fatalf("journal.Completed = %s, want empty", done)
+	}
+
+	writeRecords(t, path, []journal.Record{
+		{Key: "c", Status: journal.StatusOK, Worker: "thief", Epoch: 2, Value: []byte(`"fresh"`)},
+	})
+	if st, err = a.Status(); err != nil {
+		t.Fatal(err)
+	}
+	if st.CellsDone != 1 || st.CellsInFlight != 0 || st.CompletionPct != 100 {
+		t.Fatalf("after the thief's completion: %d done, %d in flight, %g%%; want 1, 0, 100%%", st.CellsDone, st.CellsInFlight, st.CompletionPct)
+	}
+}

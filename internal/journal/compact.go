@@ -29,16 +29,16 @@ func (s CompactStats) Reclaimed() int64 {
 }
 
 // Compact rewrites the journal at path to its folded equivalent state:
-// one record per key instead of that key's whole history. For each key it
-// keeps the winning ok record (same epoch-fenced last-record-wins rule as
-// Completed), or the live lease claim if the key is still in flight, or —
-// when only superseded history remains — a released claim carrying the
-// key's highest observed fencing epoch, so post-compaction claims still
-// fence out any zombie holding a pre-compaction lease. Fail records and
-// damaged lines are dropped (damaged lines are first preserved in the
-// .quarantine sidecar); every surviving record is re-stamped with a fresh
-// CRC. The rewrite is atomic (WriteFileAtomic), so a crash mid-compaction
-// leaves the original journal intact.
+// one record per key instead of that key's whole history. It applies the
+// records through Fold, then keeps for each key the winning ok record, or
+// the live lease claim if the key is still in flight, or — when only
+// superseded history remains — a released claim carrying the key's highest
+// observed fencing epoch, so post-compaction claims still fence out any
+// zombie holding a pre-compaction lease. Fail records and damaged lines
+// are dropped (damaged lines are first preserved in the .quarantine
+// sidecar); every surviving record is re-stamped with a fresh CRC. The
+// rewrite is atomic (WriteFileAtomic), so a crash mid-compaction leaves
+// the original journal intact.
 //
 // Compact must not race live appenders of the same journal: a writer
 // holding the old inode open would keep appending to the unlinked file and
@@ -87,74 +87,28 @@ func Compact(path string) (CompactStats, error) {
 	return stats, nil
 }
 
-// compactRecords folds a journal's history to one record per key,
-// mirroring the lease store's fencing rules. Keys appear in first-seen
-// file order, so compaction is deterministic.
+// compactRecords folds a journal's history to one record per key (see
+// Compact). Keys appear in first-seen file order, so compaction is
+// deterministic.
 func compactRecords(records []Record) []Record {
-	type fold struct {
-		ok       *Record
-		claim    *Record // live lease (Deadline > 0), if any
-		maxEpoch int64
-	}
-	var order []string
-	folds := make(map[string]*fold)
-	for i := range records {
-		rec := &records[i]
-		f := folds[rec.Key]
-		if f == nil {
-			f = &fold{}
-			folds[rec.Key] = f
-			order = append(order, rec.Key)
-		}
-		if rec.Epoch > f.maxEpoch {
-			f.maxEpoch = rec.Epoch
-		}
-		switch rec.Status {
-		case StatusOK:
-			if f.ok == nil || rec.Epoch >= f.ok.Epoch {
-				f.ok = rec
-				// A completion at or above the claim's epoch consumes it.
-				if f.claim != nil && rec.Epoch >= f.claim.Epoch {
-					f.claim = nil
-				}
-			}
-		case StatusFail:
-			if f.ok != nil && rec.Epoch >= f.ok.Epoch {
-				f.ok = nil
-			}
-		case StatusClaimed:
-			if rec.Deadline <= 0 {
-				// A release clears the claim only when it comes from the
-				// holder at the claim's own epoch.
-				if f.claim != nil && f.claim.Worker == rec.Worker && f.claim.Epoch == rec.Epoch {
-					f.claim = nil
-				}
-				continue
-			}
-			switch {
-			case f.claim == nil || rec.Epoch > f.claim.Epoch:
-				f.claim = rec
-			case rec.Epoch == f.claim.Epoch && rec.Worker == f.claim.Worker:
-				if rec.Deadline > f.claim.Deadline { // renewal only extends
-					f.claim = rec
-				}
-			}
-		}
+	var f Fold
+	for _, rec := range records {
+		f.Apply(rec)
 	}
 	var out []Record
-	for _, key := range order {
-		f := folds[key]
+	f.Range(func(key string, c Cell) bool {
 		switch {
-		case f.ok != nil:
-			out = append(out, *f.ok)
-		case f.claim != nil:
-			out = append(out, *f.claim)
-		case f.maxEpoch > 0:
+		case c.OK != nil:
+			out = append(out, *c.OK)
+		case c.Claim != nil:
+			out = append(out, *c.Claim)
+		case c.MaxEpoch > 0:
 			// Only superseded lease history remains: preserve the fencing
 			// floor as a released claim so the next claim of this key still
 			// outranks every pre-compaction epoch.
-			out = append(out, Record{Key: key, Status: StatusClaimed, Epoch: f.maxEpoch})
+			out = append(out, Record{Key: key, Status: StatusClaimed, Epoch: c.MaxEpoch})
 		}
-	}
+		return true
+	})
 	return out
 }

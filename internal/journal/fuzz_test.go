@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
 // FuzzJournalLoad throws arbitrary bytes at the journal replay path and
 // checks its crash-recovery contract: Load never panics, never reports more
-// than one tolerated torn tail, never reads past the file, folds without
-// panicking, is idempotent, and a journal reopened for appending after any
-// damage accepts and replays a fresh record.
+// than one tolerated torn tail, never reads past the file, is idempotent,
+// and a journal reopened for appending after any damage accepts and
+// replays a fresh record. Whatever decoded must also keep the fold's
+// invariants: compaction preserves every completed value and is a fixed
+// point on its own output, and a Fold counts exactly Completed's cells.
 func FuzzJournalLoad(f *testing.F) {
 	// A genuine record (correct CRC) produced by the real writer, plus the
 	// classic damage shapes around it.
@@ -37,6 +40,13 @@ func FuzzJournalLoad(f *testing.F) {
 	f.Add(append(bytes.Repeat(valid, 2), valid[:len(valid)/2]...)) // torn tail
 	f.Add(bytes.Replace(valid, []byte("1e-6"), []byte("2e-6"), 1)) // CRC mismatch
 	f.Add([]byte("{\"key\":\"a\",\"status\":\"ok\"}\n\n\n"))
+	// A zombie's completion after its lease was stolen, then a failed
+	// attempt by the thief: the cell is open again, under the thief's lease.
+	f.Add([]byte(`{"key":"c","status":"claimed","worker":"victim","epoch":1,"deadline":1}
+{"key":"c","status":"claimed","worker":"thief","epoch":2,"deadline":4102444800000000000}
+{"key":"c","status":"ok","value":"stale","worker":"victim","epoch":1}
+{"key":"c","status":"fail","error":"transient","worker":"thief","epoch":2}
+`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.journal")
@@ -53,7 +63,21 @@ func FuzzJournalLoad(f *testing.F) {
 		if stats.NextOffset < 0 || stats.NextOffset > int64(len(data)) {
 			t.Fatalf("NextOffset %d outside [0, %d]", stats.NextOffset, len(data))
 		}
-		Completed(recs) // must fold whatever decoded without panicking
+		done := Completed(recs)
+		compacted := compactRecords(recs)
+		if got := Completed(compacted); !reflect.DeepEqual(got, done) {
+			t.Fatalf("compaction changed the completed cells: %s, want %s", got, done)
+		}
+		if again := compactRecords(compacted); !reflect.DeepEqual(again, compacted) {
+			t.Fatalf("compaction is not a fixed point: %+v, then %+v", compacted, again)
+		}
+		var fold Fold
+		for _, rec := range recs {
+			fold.Apply(rec)
+		}
+		if fold.Completed() != len(done) {
+			t.Fatalf("Fold counts %d completed cells, Completed %d", fold.Completed(), len(done))
+		}
 
 		recs2, stats2, err := Load(path)
 		if err != nil || len(recs2) != len(recs) || stats2 != stats {

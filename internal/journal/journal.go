@@ -17,10 +17,11 @@
 // The journal doubles as a coordinator-free shared work queue: several
 // worker processes may hold the same journal open (O_APPEND writes of one
 // line each interleave but never tear on POSIX filesystems) and publish
-// lease claims as StatusClaimed records. The claim/renew/steal policy
-// lives in internal/core.LeaseStore; this package only defines the record
-// shape and the incremental ReadFrom tail reader the workers follow each
-// other with.
+// lease claims as StatusClaimed records. This package defines the record
+// shape, the conflict rules every reader applies (Fold: which completion
+// won, who holds which lease), and the incremental ReadFrom tail reader
+// the workers follow each other with. When to claim, renew or steal a
+// lease stays in internal/core.LeaseStore.
 //
 // The package also provides WriteFileAtomic, the write-temp-then-rename
 // helper the CLIs use so a result table on disk is always either the old
@@ -486,37 +487,23 @@ func ReadFrom(path string, offset int64) (records []Record, stats TailStats, nex
 	return records, stats, next, nil
 }
 
-// Completed folds records into the per-key outcome a resumed sweep should
-// trust: the value of each key's winning ok record. Conflicts resolve by
-// fencing epoch first — the record written under the highest lease epoch
-// wins regardless of file order, so a zombie worker that appends a stale
-// completion after its lease was stolen can never overwrite the newer
-// holder's result — and by file order (last wins) within an epoch. A fail
-// record at the key's winning epoch or later (defensive — the
-// orchestration layer never re-runs an ok cell) invalidates the cached
-// value. Claimed records are coordination, not outcomes, and are ignored.
+// Completed folds records (see Fold) into the per-key outcome a resumed
+// sweep should trust: the value of each key's winning ok record. The
+// record written under the highest lease epoch wins regardless of file
+// order, so a zombie worker that appends a stale completion after its
+// lease was stolen can never overwrite the newer holder's result.
 func Completed(records []Record) map[string]json.RawMessage {
-	type winner struct {
-		value json.RawMessage
-		epoch int64
-	}
-	won := make(map[string]winner)
+	var f Fold
 	for _, rec := range records {
-		switch rec.Status {
-		case StatusOK:
-			if w, ok := won[rec.Key]; !ok || rec.Epoch >= w.epoch {
-				won[rec.Key] = winner{value: rec.Value, epoch: rec.Epoch}
-			}
-		case StatusFail:
-			if w, ok := won[rec.Key]; ok && rec.Epoch >= w.epoch {
-				delete(won, rec.Key)
-			}
+		f.Apply(rec)
+	}
+	done := make(map[string]json.RawMessage, f.Completed())
+	f.Range(func(key string, c Cell) bool {
+		if c.OK != nil {
+			done[key] = c.OK.Value
 		}
-	}
-	done := make(map[string]json.RawMessage, len(won))
-	for k, w := range won {
-		done[k] = w.value
-	}
+		return true
+	})
 	return done
 }
 

@@ -178,7 +178,7 @@ func New(fleet []string, opts Options) (*Client, error) {
 		transport: opts.Transport,
 		rec:       opts.Recorder,
 		now:       time.Now,
-		sleep:     sleepCtx,
+		sleep:     Sleep,
 		afterFn:   after,
 		rng:       rand.Float64,
 	}
@@ -198,7 +198,9 @@ func New(fleet []string, opts Options) (*Client, error) {
 	return c, nil
 }
 
-func sleepCtx(ctx context.Context, d time.Duration) error {
+// Sleep waits d or until ctx is done, returning the context error when
+// interrupted (or when ctx is already done and d <= 0).
+func Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
@@ -217,16 +219,24 @@ func after(d time.Duration) (<-chan time.Time, func() bool) {
 	return t.C, t.Stop
 }
 
-// backoff returns the k-th (1-based) retry's full-jitter delay.
-func (c *Client) backoff(k int) time.Duration {
-	d := c.policy.BaseBackoff
-	for i := 1; i < k && d < c.policy.MaxBackoff; i++ {
+// Backoff is the repository's one retry schedule: exponential backoff with
+// full jitter. The k-th (1-based) retry waits u·min(limit, base·2^(k−1))
+// for a uniform draw u in [0, 1), so retries that failed together spread
+// out instead of re-colliding. base must be positive.
+func Backoff(base, limit time.Duration, k int, u float64) time.Duration {
+	d := base
+	for i := 1; i < k && d < limit; i++ {
 		d *= 2
 	}
-	if d > c.policy.MaxBackoff {
-		d = c.policy.MaxBackoff
+	if d > limit || d <= 0 { // d <= 0: the doubling overflowed
+		d = limit
 	}
-	return time.Duration(c.rng() * float64(d))
+	return time.Duration(u * float64(d))
+}
+
+// backoff returns the k-th (1-based) retry's full-jitter delay.
+func (c *Client) backoff(k int) time.Duration {
+	return Backoff(c.policy.BaseBackoff, c.policy.MaxBackoff, k, c.rng())
 }
 
 // parseRetryAfter reads a Retry-After header as either delta-seconds or an

@@ -510,7 +510,8 @@ type (
 	// JournalStoreOptions configures OpenJournalStore.
 	JournalStoreOptions = core.JournalStoreOptions
 	// RetryPolicy bounds the re-execution of transiently failed or
-	// degraded sweep cells.
+	// degraded sweep cells, waiting between attempts by exponential
+	// backoff with full jitter capped at 5 s.
 	RetryPolicy = core.RetryPolicy
 )
 
