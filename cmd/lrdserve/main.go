@@ -173,11 +173,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	srv := serve.New(cfg)
 
-	ln, err := net.Listen("tcp", *addr)
+	tcp, err := net.Listen("tcp", *addr)
 	if err != nil {
 		logger.Error(fmt.Sprintf("lrdserve: %v", err))
 		return 1
 	}
+	ln := &drainListener{TCPListener: tcp.(*net.TCPListener)}
 	logger.Info(fmt.Sprintf("listening on http://%s", ln.Addr()), "addr", ln.Addr().String())
 	// The cache warm-load happened inside serve.New, so by the time the
 	// listener exists the replica genuinely is ready.
@@ -201,23 +202,29 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// Graceful shutdown, in load-balancer-safe order: first flip /readyz to
 	// draining so new work routes elsewhere, hold the listener open for the
 	// -drain-grace window (requests already routed here still connect and
-	// complete — no resets), then stop accepting and finish what's running.
-	// A solve that outlives the -drain budget is abandoned and the exit is
-	// dirty.
+	// complete — no resets), then stop accepting — answering what the
+	// kernel already queued with 503 draining before the socket closes —
+	// and finish what's running. A solve that outlives the -drain budget is
+	// abandoned and the exit is dirty.
 	srv.StartDrain()
 	logger.Info("draining: /readyz now 503", "grace", drainGrace.String())
 	if *drainGrace > 0 {
 		time.Sleep(*drainGrace)
+	}
+	ln.stopServing()
+	if err := <-errc; err != nil && !errors.Is(err, net.ErrClosed) {
+		logger.Error(fmt.Sprintf("lrdserve: %v", err))
+		return 1
+	}
+	if err := ln.drainQueue(); err != nil {
+		logger.Error(fmt.Sprintf("lrdserve: closing the listener: %v", err))
+		return 1
 	}
 	logger.Info("shutting down; draining in-flight solves")
 	drainCtx, drainCancel := context.WithTimeout(context.Background(), *drain)
 	defer drainCancel()
 	if err := hs.Shutdown(drainCtx); err != nil {
 		logger.Error(fmt.Sprintf("lrdserve: drain: %v", err))
-		return 1
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Error(fmt.Sprintf("lrdserve: %v", err))
 		return 1
 	}
 	fmt.Fprintln(stdout, "lrdserve: drained cleanly")

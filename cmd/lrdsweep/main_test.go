@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"lrd/internal/journal"
+	"lrd/internal/obs"
 )
 
 // runCapture invokes run with captured stdout/stderr.
@@ -137,7 +139,9 @@ func TestRunQuickExperimentToStdout(t *testing.T) {
 
 // TestRunInterruptAndResume is the end-to-end crash-recovery check: a
 // journaled sweep interrupted by a tiny -timeout, resumed with -resume,
-// must write a TSV byte-identical to an uninterrupted run's.
+// must write a TSV byte-identical to an uninterrupted run's, and so must a
+// resume from a journal that really is partial (five of twelve cells),
+// replaying exactly the journaled cells.
 func TestRunInterruptAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real (quick) sweeps")
@@ -183,6 +187,46 @@ func TestRunInterruptAndResume(t *testing.T) {
 	if !bytes.Equal(resumed, clean) {
 		t.Fatalf("resumed TSV differs from uninterrupted run:\n--- resumed ---\n%s\n--- clean ---\n%s", resumed, clean)
 	}
+
+	// A deterministic crash mid-sweep: a clean run's journal cut back to
+	// its first five records, as if the process died after five cells. The
+	// resume must replay exactly those five and recompute the rest.
+	fullJournal := filepath.Join(dir, "full.journal")
+	code, _, stderr = runCapture("-exp", "fig4", "-quick", "-seed", "3",
+		"-journal", fullJournal, "-out", filepath.Join(dir, "journaled.tsv"))
+	if code != 0 {
+		t.Fatalf("journaled run: exit %d, stderr: %s", code, stderr)
+	}
+	raw, err := os.ReadFile(fullJournal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := bytes.SplitAfter(raw, []byte("\n"))
+	if len(records) < 6 {
+		t.Fatalf("journal holds %d records, want more than 5", len(records))
+	}
+	partialJournal := filepath.Join(dir, "partial.journal")
+	if err := os.WriteFile(partialJournal, bytes.Join(records[:5], nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	partialPath, metricsPath := filepath.Join(dir, "partial.tsv"), filepath.Join(dir, "metrics.json")
+	code, _, stderr = runCapture("-exp", "fig4", "-quick", "-seed", "3",
+		"-journal", partialJournal, "-resume", "-metrics", metricsPath, "-out", partialPath)
+	if code != 0 {
+		t.Fatalf("partial resume: exit %d, stderr: %s", code, stderr)
+	}
+	var snap struct {
+		Counters map[string]float64 `json:"counters"`
+	}
+	if raw, err := os.ReadFile(metricsPath); err != nil || json.Unmarshal(raw, &snap) != nil {
+		t.Fatalf("reading %s: %v", metricsPath, err)
+	}
+	if got := snap.Counters[obs.MetricCoreCellsResumed]; got != 5 {
+		t.Fatalf("%s = %v, want 5", obs.MetricCoreCellsResumed, got)
+	}
+	if got, err := os.ReadFile(partialPath); err != nil || !bytes.Equal(got, clean) {
+		t.Fatalf("partially resumed TSV differs from the clean run (%v):\n%s", err, got)
+	}
 	// No temp-file litter from the atomic writes.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -195,10 +239,12 @@ func TestRunInterruptAndResume(t *testing.T) {
 	}
 }
 
-// TestGoldenFluidBitIdentity pins the refactor's core compatibility
-// guarantee: the default model — and the explicit -model=fluid — reproduce
-// the pre-registry sweep output byte for byte against goldens captured
-// before the source abstraction was introduced.
+// TestGoldenFluidBitIdentity pins the sweep output byte for byte: the
+// default model and the explicit -model=fluid reproduce the committed
+// goldens. Refactors must leave them untouched. A change that declares a
+// numerics change under the solver's accuracy contract may regenerate
+// them, provided every new bracket overlaps its old row within the
+// roundoff slack and the old → new rows are listed with the change.
 func TestGoldenFluidBitIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real (quick) sweeps")

@@ -47,6 +47,8 @@ const (
 	MetricSolverSolveSeconds    = "solver_solve_seconds"
 	MetricSolverSolveIterations = "solver_solve_iterations"
 	MetricSolverFinalBins       = "solver_final_bins"
+	MetricSolverStartBins       = "solver_start_bins"             // histogram: first rung M of each solve
+	MetricSolverCertifiedStarts = "solver_certified_starts_total" // cold solves whose upper process started at a certified exponential
 	MetricSolverRefines         = "solver_refines_total"
 	MetricSolverBins            = "solver_bins"      // gauge: current M
 	MetricSolverGap             = "solver_bound_gap" // gauge: relative gap

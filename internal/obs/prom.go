@@ -25,6 +25,8 @@ var metricHelp = map[string]string{
 	MetricSolverSolveSeconds:    "Wall time of one full solve.",
 	MetricSolverSolveIterations: "Bound iterations needed by one solve.",
 	MetricSolverFinalBins:       "Grid resolution M at the end of one solve.",
+	MetricSolverStartBins:       "Grid resolution M at the start of one solve.",
+	MetricSolverCertifiedStarts: "Cold solves whose upper bound started at a certified exponential instead of full.",
 	MetricSolverRefines:         "M-doubling refinements across all solves.",
 	MetricSolverBins:            "Current grid resolution M.",
 	MetricSolverGap:             "Current relative gap between the loss bounds.",

@@ -10,13 +10,16 @@ import (
 // TestCacheKeyGolden pins the canonical cache key byte for byte: journals
 // and fleet lease stores written by earlier servers are keyed by exactly
 // this string, so a drift here silently orphans every warm-start journal.
+// Only its cfg component may change, and only when the solver revision
+// changes results (solver.ConfigHash): entries of the old revision must
+// then be recomputed, not replayed.
 func TestCacheKeyGolden(t *testing.T) {
 	req := &SolveRequest{Marginal: "0:0.5,2:0.5", Hurst: 0.8, Epoch: 0.05, Util: 0.8, Buffer: 0.5}
 	job, err := buildSolve(req, solver.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "v1|mg=0:0.5,2:0.5|a=1.4|th=0.019999999999999997|tc=inf|c=1.25|B=0.625|model=fluid|cfg=acd8fc77d61a4038"
+	const want = "v1|mg=0:0.5,2:0.5|a=1.4|th=0.019999999999999997|tc=inf|c=1.25|B=0.625|model=fluid|cfg=405394f9e67bceff"
 	if job.key != want {
 		t.Fatalf("cache key changed:\n got  %s\n want %s", job.key, want)
 	}

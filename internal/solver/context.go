@@ -171,16 +171,10 @@ func (it *Iterator) runContext(ctx context.Context) (Result, error) {
 		defer cancel()
 	}
 	const hardStallTol = 1e-12 // below this the n-recursion is numerically fixed
-	// Bound values far below the loss floor are roundoff noise; snap them
-	// to zero so their jitter does not mask stationarity (otherwise a cell
-	// whose lower bound hovers around 1e-17 never triggers refinement).
-	snap := func(v float64) float64 {
-		if v < it.cfg.LossFloor/100 {
-			return 0
-		}
-		return v
-	}
-	prevLo, prevHi := snap(it.lowerLoss), snap(it.upperLoss)
+	// Bound values below the roundoff slack are noise; snapping them to zero
+	// keeps their jitter from masking stationarity (otherwise a cell whose
+	// lower bound hovers around 1e-17 never triggers refinement).
+	prevLo, prevHi := it.snap(it.lowerLoss), it.snap(it.upperLoss)
 	stall, hardStall := 0, 0
 	outOfResolution := false
 	for it.iterations < it.cfg.MaxIterations {
@@ -194,9 +188,9 @@ func (it *Iterator) runContext(ctx context.Context) (Result, error) {
 			return Result{}, err
 		}
 		// Stationarity in n at this resolution: both bounds barely moving.
-		loMove := relChange(prevLo, snap(it.lowerLoss))
-		hiMove := relChange(prevHi, snap(it.upperLoss))
-		prevLo, prevHi = snap(it.lowerLoss), snap(it.upperLoss)
+		loMove := relChange(prevLo, it.snap(it.lowerLoss))
+		hiMove := relChange(prevHi, it.snap(it.upperLoss))
+		prevLo, prevHi = it.snap(it.lowerLoss), it.snap(it.upperLoss)
 		if loMove < it.cfg.StallTol && hiMove < it.cfg.StallTol {
 			stall++
 		} else {

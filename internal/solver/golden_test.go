@@ -13,10 +13,12 @@ import (
 	"testing"
 )
 
-// solveGoldenPath holds the committed results of goldenCases. It was
-// generated once from the unpooled solve path, before pooled scratch became
-// the solver's only path, and must never be regenerated: a mismatch means a
-// change altered the solver's arithmetic, not that the file is stale.
+// solveGoldenPath holds the committed results of goldenCases. A mismatch
+// means a change altered the solver's arithmetic, not that the file is
+// stale, so it is regenerated only by a change that declares a numerics
+// change under the accuracy contract (accuracy_test.go): every new bracket
+// must overlap its old row within the roundoff slack, and the old → new
+// rows are listed with the change. Pure refactors leave it byte-identical.
 const solveGoldenPath = "testdata/solve-golden.tsv"
 
 type goldenCase struct {

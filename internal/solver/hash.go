@@ -19,11 +19,20 @@ import (
 // so an observed solve and an unobserved one share a hash. MaxDuration is
 // included — callers that want budget-independent keys (a converged result
 // does not depend on how much budget was left) should zero it before
-// hashing.
+// hashing. The hash also covers solverRevision, so results computed by
+// solver arithmetic that no Config field describes are not replayed either.
 func ConfigHash(cfg Config) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%g|%g|%d|%g|%s|%g",
+	fmt.Fprintf(h, "%d|%d|%g|%g|%d|%g|%s|%g|rev=%d",
 		cfg.InitialBins, cfg.MaxBins, cfg.RelGap, cfg.LossFloor,
-		cfg.MaxIterations, cfg.StallTol, cfg.MaxDuration, cfg.MassDriftTol)
+		cfg.MaxIterations, cfg.StallTol, cfg.MaxDuration, cfg.MassDriftTol,
+		solverRevision)
 	return strconv.FormatUint(h.Sum64(), 16)
 }
+
+// solverRevision numbers the solver's result-changing revisions that no
+// Config field records. Bump it with every change that moves results under
+// an unchanged Config, such as a new cold start; journals and caches keyed
+// by ConfigHash then recompute instead of mixing results of two revisions.
+// Revision 1: the drift-chosen first rung and the certified upper start.
+const solverRevision = 1

@@ -83,19 +83,17 @@ func (it *Iterator) checkStepHealth(driftL, driftH, newLo, newHi float64) error 
 	if newLo > newHi*(1+boundOrderRelTol)+invariantAbsTol {
 		return it.numericErr(HealthBoundOrder, "lower bound %v exceeds upper bound %v", newLo, newHi)
 	}
-	// Monotone tightening holds for the paper's cold starts (empty/full are
-	// sub-fixed-points of the Lindley map) but not for warm starts: a
-	// neighbor-seeded vector is a valid stochastic bound yet its loss
-	// estimate may transiently move the "wrong" way while remaining a valid
-	// bracket (the bound-order check above still verifies Prop. II.1 every
-	// step). So the monotonicity checks apply to cold solves only.
-	if !it.warm {
-		if newLo < it.lowerLoss*(1-monotoneRelTol)-invariantAbsTol {
-			return it.numericErr(HealthMonotonicity, "lower bound decreased %v -> %v", it.lowerLoss, newLo)
-		}
-		if newHi > it.upperLoss*(1+monotoneRelTol)+invariantAbsTol {
-			return it.numericErr(HealthMonotonicity, "upper bound increased %v -> %v", it.upperLoss, newHi)
-		}
+	// Monotone tightening holds from the paper's starts (empty and full are
+	// sub- and super-fixed-points of the Lindley map) but not from a seed or
+	// a certified upper start: such a vector is a valid stochastic bound,
+	// yet its loss may transiently move the "wrong" way while remaining a
+	// valid bracket (the bound-order check above still verifies Prop. II.1
+	// every step). So each side is checked only from the paper's start.
+	if !it.warm && newLo < it.lowerLoss*(1-monotoneRelTol)-invariantAbsTol {
+		return it.numericErr(HealthMonotonicity, "lower bound decreased %v -> %v", it.lowerLoss, newLo)
+	}
+	if !it.warm && !it.certified && newHi > it.upperLoss*(1+monotoneRelTol)+invariantAbsTol {
+		return it.numericErr(HealthMonotonicity, "upper bound increased %v -> %v", it.upperLoss, newHi)
 	}
 	return nil
 }

@@ -8,15 +8,19 @@
 // of width d = B/M and iterates two coupled recursions (Eq. 18):
 //
 //   - a lower process Q_L: increments rounded down (Eq. 21), started empty;
-//   - an upper process Q_H: increments rounded up (Eq. 22), started full.
+//   - an upper process Q_H: increments rounded up (Eq. 22), started from
+//     any vector that lies stochastically above the stationary occupancy.
 //
 // By Proposition II.1 the induced loss rates bracket the true loss at every
-// iteration, the lower bound increasing and the upper bound decreasing in
-// both the iteration count n and the resolution M. The per-step convolution
-// (Eq. 19) runs in O(M log M) via FFT above a crossover size. When the
-// bounds stop tightening at a given resolution, M is doubled and the
-// iteration warm-restarts from the coarse occupancy vectors (footnote 3 of
-// the paper).
+// iteration and resolution. The paper starts Q_H full, which makes the
+// upper bound decrease in n; a cold solve here starts it instead at a
+// certified exponential (Kingman's bound, see start.go) when the epoch law
+// is bounded, and reports the running minimum of its upper iterates. The
+// ladder starts at the first resolution whose grid step lets the upper
+// chain drain. The per-step convolution (Eq. 19) runs in O(M log M) via FFT
+// above a crossover size. When the bounds stop tightening at a given
+// resolution, M is doubled and the iteration warm-restarts from the coarse
+// occupancy vectors (footnote 3 of the paper).
 //
 // # Robustness contract
 //
@@ -189,7 +193,9 @@ func (q Queue) NormalizedBuffer() float64 { return q.Buffer / q.ServiceRate }
 // experimental setup describes (§III): a 20 % relative gap target between
 // the bounds and a 1e-10 loss floor below which zero loss is reported.
 type Config struct {
-	// InitialBins is the starting resolution M. Default 128.
+	// InitialBins is the floor of the resolution ladder, default 128: a cold
+	// solve starts at the first InitialBins·2^k whose grid step B/M is at
+	// most the mean drain per epoch |E[W]|, and a seeded one near its seed.
 	InitialBins int
 	// MaxBins caps the resolution-doubling ladder. Default 32768.
 	MaxBins int
@@ -284,12 +290,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// slack is the absolute roundoff slack of a loss bound, LossFloor/100.
+// Prop. II.1 holds in exact arithmetic; in floating point the FFT leaves
+// bound values of 1e-17 to 1e-16 where the loss is zero. Values below the
+// slack are snapped to zero (snap), and brackets agree within it.
+func (c Config) slack() float64 { return c.LossFloor / 100 }
+
+// snap maps a bound value below the roundoff slack to zero.
+func (it *Iterator) snap(v float64) float64 {
+	if v < it.cfg.slack() {
+		return 0
+	}
+	return v
+}
+
 // Result reports the solved loss rate and diagnostics.
 type Result struct {
 	// Loss is the reported loss rate: the midpoint of the final bounds, or
 	// zero when the upper bound fell below the loss floor.
 	Loss float64
-	// Lower and Upper are the final bound values l(Q_L^M(n)) and l(Q_H^M(n)).
+	// Lower and Upper are the final bound values l(Q_L^M(n)) and l(Q_H^M(n));
+	// after a certified upper start, Upper is the least l(Q_H) seen.
 	Lower, Upper float64
 	// Bins is the final resolution M.
 	Bins int
@@ -407,6 +428,12 @@ type Iterator struct {
 	warm      bool
 	seedIters int // the seeding solve's iteration count, for saved-work metrics
 
+	// certified marks a cold upper start at the certified exponential (see
+	// start.go). Its iterates are valid bounds but not monotone, so the
+	// upper monotonicity check is off and upperLoss is their running
+	// minimum.
+	certified bool
+
 	// threshold, when positive, is the loss a Decide solve must classify:
 	// the solve stops as soon as its bracket lies on one side of it. Zero
 	// (every other entry point) leaves the stopping rule untouched.
@@ -421,31 +448,29 @@ func NewIterator(q Queue, cfg Config) (*Iterator, error) {
 	return NewModelIterator(q.Model(), cfg)
 }
 
-// NewModelIterator validates a general model and prepares the initial
-// resolution.
+// NewModelIterator validates a general model and prepares a cold start at
+// the first rung whose upper chain can drain (see start.go).
 func NewModelIterator(m Model, cfg Config) (*Iterator, error) {
 	it, err := newIterator(m, cfg, 0)
 	if err != nil {
 		return nil, err
 	}
-	it.ql[0] = 1       // Q_L(0) = 0: start empty
-	it.qh[it.bins] = 1 // Q_H(0) = B: start full
-	it.lowerLoss = it.lossOf(it.ql)
-	it.upperLoss = it.lossOf(it.qh)
+	it.startCold()
 	return it, nil
 }
 
 // newIterator builds the iterator shell and its grid tables at the given
-// start resolution (0 means Config.InitialBins), leaving the occupancy
-// vectors zeroed; NewModelIterator and NewModelIteratorSeeded finish the
-// construction by choosing the start distributions.
+// start resolution (0 means a cold solve's first rung, coldBins), leaving
+// the occupancy vectors zeroed; NewModelIterator and
+// NewModelIteratorSeeded finish the construction by choosing the start
+// distributions.
 func newIterator(m Model, cfg Config, bins int) (*Iterator, error) {
 	if _, err := NewModel(m.Marginal, m.Interarrival, m.ServiceRate, m.Buffer); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	if bins <= 0 {
-		bins = cfg.InitialBins
+		bins = coldBins(m, cfg)
 	}
 	it := &Iterator{
 		model:       m,
@@ -470,8 +495,29 @@ func newIterator(m Model, cfg Config, bins int) (*Iterator, error) {
 	it.traceHi = math.Inf(1)
 	if rec := cfg.Recorder; rec != nil {
 		rec.Set(obs.MetricSolverBins, float64(it.bins))
+		rec.Observe(obs.MetricSolverStartBins, float64(it.bins))
 	}
 	return it, nil
+}
+
+// startCold sets the cold start at the current rung: the lower process
+// empty and the upper one at the certified exponential, or full where the
+// epoch law is unbounded or no θ certifies.
+func (it *Iterator) startCold() {
+	clear(it.ql)
+	clear(it.qh)
+	it.ql[0] = 1 // Q_L(0) = 0: start empty
+	if theta := startTheta(it.model, it.cfg); theta > 0 {
+		certifiedStart(it.qh, theta, it.d)
+		it.certified = true
+		if rec := it.cfg.Recorder; rec != nil {
+			rec.Add(obs.MetricSolverCertifiedStarts, 1)
+		}
+	} else {
+		it.qh[it.bins] = 1 // Q_H(0) = B: start full
+	}
+	it.lowerLoss = it.lossOf(it.ql)
+	it.upperLoss = it.lossOf(it.qh)
 }
 
 // release returns the borrowed scratch set to the pool, recycling this
@@ -534,7 +580,8 @@ func (it *Iterator) GridStep() float64 { return it.d }
 // Iterations returns the number of Lindley steps performed so far.
 func (it *Iterator) Iterations() int { return it.iterations }
 
-// LossBounds returns the current lower and upper loss-rate bounds.
+// LossBounds returns the current lower and upper loss-rate bounds; after a
+// certified upper start the upper one is the least seen so far.
 func (it *Iterator) LossBounds() (lower, upper float64) {
 	return it.lowerLoss, it.upperLoss
 }
@@ -589,7 +636,8 @@ func (it *Iterator) Step() error {
 	// buffers.
 	it.ql, it.qlNext = ql, it.ql
 	it.qh, it.qhNext = qh, it.qh
-	it.lowerLoss, it.upperLoss = newLo, newHi
+	it.lowerLoss = newLo
+	it.setUpper(newHi)
 	it.iterations++
 	if rec := it.cfg.Recorder; rec != nil {
 		rec.Add(obs.MetricSolverSteps, 1)
@@ -610,23 +658,26 @@ func (it *Iterator) Step() error {
 	return nil
 }
 
+// setUpper records a committed upper-bound value: the value itself, or for
+// a certified start the running minimum, since each of its iterates bounds
+// the loss but they need not decrease.
+func (it *Iterator) setUpper(hi float64) {
+	if !it.certified || hi < it.upperLoss {
+		it.upperLoss = hi
+	}
+}
+
 // tracePoint captures the iterator's current convergence state. The
 // emitted bounds are the running envelope (traceLo/traceHi): the tightest
 // bracket seen so far, which is exactly monotone per Prop. II.1 even in
 // the presence of sub-roundoff jitter on the raw per-step values. Bound
-// values far below the loss floor are additionally snapped to zero, the
+// values below the roundoff slack are additionally snapped to zero, the
 // way the stall detector treats them.
 func (it *Iterator) tracePoint(final bool) TracePoint {
-	snap := func(v float64) float64 {
-		if v < it.cfg.LossFloor/100 {
-			return 0
-		}
-		return v
-	}
-	if lo := snap(it.lowerLoss); lo > it.traceLo {
+	if lo := it.snap(it.lowerLoss); lo > it.traceLo {
 		it.traceLo = lo
 	}
-	if hi := snap(it.upperLoss); hi < it.traceHi {
+	if hi := it.snap(it.upperLoss); hi < it.traceHi {
 		it.traceHi = hi
 	}
 	return TracePoint{
@@ -671,7 +722,7 @@ func (it *Iterator) Refine() bool {
 	it.scratch.putFloat(oldQl)
 	it.scratch.putFloat(oldQh)
 	it.lowerLoss = it.lossOf(it.ql)
-	it.upperLoss = it.lossOf(it.qh)
+	it.setUpper(it.lossOf(it.qh))
 	if rec := it.cfg.Recorder; rec != nil {
 		rec.Add(obs.MetricSolverRefines, 1)
 		rec.Set(obs.MetricSolverBins, float64(it.bins))

@@ -460,6 +460,18 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestConfigHashRevision: the hash covers the solver revision, so the
+// zero Config no longer hashes to the value written by solvers before the
+// drift-chosen first rung and certified upper start (revision 0), whose
+// journals and cache entries hold results the current solver would not
+// reproduce.
+func TestConfigHashRevision(t *testing.T) {
+	const revision0 = "acd8fc77d61a4038"
+	if got := ConfigHash(Config{}); got == revision0 {
+		t.Fatalf("ConfigHash(Config{}) = %s, the revision-0 hash", got)
+	}
+}
+
 func TestInfiniteCutoffSolves(t *testing.T) {
 	src := onOffSource(t, math.Inf(1))
 	q, err := NewQueueNormalized(src, 0.6, 0.5)

@@ -129,12 +129,7 @@ func NewModelIteratorSeeded(m Model, cfg Config, seed *Seed) (*Iterator, error) 
 		if rec := cfg.Recorder; rec != nil {
 			rec.Add(obs.MetricSolverWarmRejected, 1)
 		}
-		clear(it.ql)
-		clear(it.qh)
-		it.ql[0] = 1
-		it.qh[it.bins] = 1
-		it.lowerLoss = it.lossOf(it.ql)
-		it.upperLoss = it.lossOf(it.qh)
+		it.startCold()
 		return it, nil
 	}
 	it.warm = true
