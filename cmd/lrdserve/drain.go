@@ -16,23 +16,29 @@ import (
 // server's accept loop without closing the socket (stopServing), then
 // answers what the kernel queue holds with 503 draining and only then
 // closes it (drainQueue).
+//
+// On Linux the kernel stops taking new SYNs when the drain begins, while
+// handshakes already in flight still complete into the queue drainQueue
+// answers. What remains is a handshake whose final ACK arrives after
+// drainQueue has found the queue empty for 10 ms: a client more than that
+// round trip away whose SYN reached the socket just before the drain is
+// still reset. Elsewhere any handshake completing in the instant before
+// the close is.
 type drainListener struct {
 	*net.TCPListener
 	draining atomic.Bool
 }
 
-// Accept hands connections to the HTTP server until the drain begins; from
-// then on it answers any connection it still takes with 503 draining and
-// reports the listener closed, which ends the server's accept loop.
+// Accept is the socket's Accept, except that once the drain has begun a
+// failure — the expired deadline stopServing sets — reports the listener
+// closed, which ends the HTTP server's accept loop. A connection it still
+// takes goes to the server, which serves it and waits for it on Shutdown.
 func (l *drainListener) Accept() (net.Conn, error) {
 	c, err := l.TCPListener.Accept()
-	if !l.draining.Load() {
-		return c, err
+	if err != nil && l.draining.Load() {
+		err = net.ErrClosed
 	}
-	if err == nil {
-		answerDraining(c)
-	}
-	return nil, net.ErrClosed
+	return c, err
 }
 
 // Close closes the socket, unless the drain has begun: then the HTTP

@@ -34,13 +34,24 @@ func GoldenCases(t testing.TB) []GoldenCase {
 // SolvePaperStart solves m from the paper's start: the ladder from
 // InitialBins, the lower process empty and the upper one full.
 func SolvePaperStart(ctx context.Context, m Model, cfg Config) (Result, error) {
-	it, err := newIterator(m, cfg, cfg.withDefaults().InitialBins)
+	it, err := newPaperStartIterator(m, cfg)
 	if err != nil {
 		return Result{}, err
+	}
+	return it.solve(ctx)
+}
+
+// newPaperStartIterator builds m's iterator at InitialBins with the
+// paper's start: the lower process empty and the upper one full, so both
+// bounds move monotonically and the upper one is the raw iterate.
+func newPaperStartIterator(m Model, cfg Config) (*Iterator, error) {
+	it, err := newIterator(m, cfg, cfg.withDefaults().InitialBins)
+	if err != nil {
+		return nil, err
 	}
 	it.ql[0] = 1
 	it.qh[it.bins] = 1
 	it.lowerLoss = it.lossOf(it.ql)
 	it.upperLoss = it.lossOf(it.qh)
-	return it.solve(ctx)
+	return it, nil
 }

@@ -34,5 +34,6 @@ func ConfigHash(cfg Config) string {
 // Config field records. Bump it with every change that moves results under
 // an unchanged Config, such as a new cold start; journals and caches keyed
 // by ConfigHash then recompute instead of mixing results of two revisions.
-// Revision 1: the drift-chosen first rung and the certified upper start.
+// Revision 1: the cold start's first rung and certified upper start
+// (start.go).
 const solverRevision = 1

@@ -117,6 +117,31 @@ func TestWatchdogCatchesMonotonicityViolation(t *testing.T) {
 	}
 }
 
+// TestWatchdogCatchesUpperMonotonicityViolation: from the paper's full
+// start the upper bound can only fall, so forcing it back up to 1 must trip
+// the monotone-tightening check. (A certified start's raw upper iterates
+// may rise, so the check is off there.)
+func TestWatchdogCatchesUpperMonotonicityViolation(t *testing.T) {
+	defer faultinject.Reset()
+	it, err := newPaperStartIterator(lossyQueue(t).Model(), Config{InitialBins: 128, MaxBins: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := it.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	faultinject.Arm(faultinject.SolverLossBounds, func(pair []float64) {
+		pair[1] = 1 // upper bound jumps back up: monotone tightening violated
+	})
+	stepErr := it.Step()
+	var ne *NumericError
+	if !errors.As(stepErr, &ne) || ne.Kind != HealthMonotonicity {
+		t.Fatalf("want monotonicity error, got %v", stepErr)
+	}
+}
+
 // TestWatchdogErrorNotCommitted: a rejected step must leave the iterator
 // at its last healthy state so callers can still read valid bounds.
 func TestWatchdogErrorNotCommitted(t *testing.T) {

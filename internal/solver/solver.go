@@ -16,8 +16,8 @@
 // upper bound decrease in n; a cold solve here starts it instead at a
 // certified exponential (Kingman's bound, see start.go) when the epoch law
 // is bounded, and reports the running minimum of its upper iterates. The
-// ladder starts at the first resolution whose grid step lets the upper
-// chain drain. The per-step convolution (Eq. 19) runs in O(M log M) via FFT
+// ladder starts at the first resolution whose grid step no longer pins the
+// upper chain against B (see start.go). The per-step convolution (Eq. 19) runs in O(M log M) via FFT
 // above a crossover size. When the bounds stop tightening at a given
 // resolution, M is doubled and the iteration warm-restarts from the coarse
 // occupancy vectors (footnote 3 of the paper).
@@ -195,7 +195,9 @@ func (q Queue) NormalizedBuffer() float64 { return q.Buffer / q.ServiceRate }
 type Config struct {
 	// InitialBins is the floor of the resolution ladder, default 128: a cold
 	// solve starts at the first InitialBins·2^k whose grid step B/M is at
-	// most the mean drain per epoch |E[W]|, and a seeded one near its seed.
+	// most max(|E[W]|, E[W²]/(2B)) — the mean drain per epoch, or near
+	// utilization 1 the spread of the increments across the buffer (see
+	// start.go) — and a seeded one near its seed.
 	InitialBins int
 	// MaxBins caps the resolution-doubling ladder. Default 32768.
 	MaxBins int
@@ -449,7 +451,7 @@ func NewIterator(q Queue, cfg Config) (*Iterator, error) {
 }
 
 // NewModelIterator validates a general model and prepares a cold start at
-// the first rung whose upper chain can drain (see start.go).
+// the first rung whose upper chain can mix (see start.go).
 func NewModelIterator(m Model, cfg Config) (*Iterator, error) {
 	it, err := newIterator(m, cfg, 0)
 	if err != nil {

@@ -201,13 +201,18 @@ func TestExpectedLossIncreasingInOccupancy(t *testing.T) {
 }
 
 func TestBoundsOrderedAndMonotone(t *testing.T) {
-	// Proposition II.1: at every n, lower <= upper; the lower bound is
-	// non-decreasing and the upper bound non-increasing in n.
+	// Proposition II.1: at every n, lower <= upper; from the paper's start
+	// (empty and full) the lower bound is non-decreasing and the upper
+	// bound non-increasing in n. A cold solve of this finite-cutoff source
+	// would start certified and report the running minimum of its upper
+	// iterates, which cannot increase; the paper's start keeps the raw
+	// upper iterates under test (TestCertifiedUpperIteratesBound covers
+	// the certified ones).
 	q, err := NewQueueNormalized(onOffSource(t, 1), 0.8, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := NewIterator(q, Config{InitialBins: 100})
+	it, err := newPaperStartIterator(q.Model(), Config{InitialBins: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,39 +417,142 @@ func TestResultRelativeGap(t *testing.T) {
 }
 
 func TestRefineProjectsExactly(t *testing.T) {
-	q, err := NewQueueNormalized(onOffSource(t, 1), 0.8, 0.2)
+	q, err := NewQueueNormalized(onOffSource(t, 1), 0.7, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := NewIterator(q, Config{InitialBins: 32, MaxBins: 128})
+	// Both starts: the paper's, whose reported upper bound is the raw
+	// iterate, and the certified cold one, whose reported bound is the
+	// running minimum, so the raw losses of the occupancy vectors are what
+	// the projection must keep.
+	starts := []struct {
+		name string
+		new  func(Model, Config) (*Iterator, error)
+	}{{"paper", newPaperStartIterator}, {"cold", NewModelIterator}}
+	for _, s := range starts {
+		it, err := s.new(q.Model(), Config{InitialBins: 32, MaxBins: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if it.Bins() != 32 || it.certified != (s.name == "cold") {
+			t.Fatalf("%s: first rung %d, certified %v", s.name, it.Bins(), it.certified)
+		}
+		for n := 0; n < 10; n++ {
+			it.Step()
+		}
+		loBefore, hiBefore := it.lossOf(it.ql), it.lossOf(it.qh)
+		if !it.Refine() {
+			t.Fatalf("%s: refine should succeed below MaxBins", s.name)
+		}
+		if it.Bins() != 64 {
+			t.Fatalf("%s: bins = %d, want 64", s.name, it.Bins())
+		}
+		lo, hi := it.lossOf(it.ql), it.lossOf(it.qh)
+		// The projection is exact, so the loss bounds are unchanged (the
+		// loss table at even fine-grid points equals the coarse table).
+		if !numerics.AlmostEqual(lo, loBefore, 1e-9) || !numerics.AlmostEqual(hi, hiBefore, 1e-9) {
+			t.Fatalf("%s: refine moved the bounds: (%v,%v) -> (%v,%v)", s.name, loBefore, hiBefore, lo, hi)
+		}
+		if s.name == "paper" {
+			if rlo, rhi := it.LossBounds(); rlo != lo || rhi != hi {
+				t.Fatalf("paper start reports (%v,%v), raw (%v,%v)", rlo, rhi, lo, hi)
+			}
+		}
+		for _, qv := range [][]float64{it.LowerOccupancy(), it.UpperOccupancy()} {
+			if s := numerics.KahanSum(qv); !numerics.AlmostEqual(s, 1, 1e-9) {
+				t.Fatalf("mass after refine = %v", s)
+			}
+		}
+		// Refinement stops at MaxBins.
+		if !it.Refine() {
+			t.Fatalf("%s: second refine should still fit (64 -> 128)", s.name)
+		}
+		if it.Refine() {
+			t.Fatalf("%s: refine beyond MaxBins must fail", s.name)
+		}
+		it.release()
+	}
+}
+
+// TestColdStartRule: the first rung is the first whose grid step is at
+// most max(|E[W]|, E[W²]/(2B)), so a probe near utilization 1 stays at
+// InitialBins although its drain alone would ask for M = 8192; and the
+// upper start is certified only where θ = certFloor/B certifies.
+func TestColdStartRule(t *testing.T) {
+	cfg := Config{}.withDefaults()
+	for _, c := range []struct {
+		util, nbuf float64
+		bins       int
+		certified  bool
+	}{
+		{0.999, 0.5, 128, false},
+		{0.8, 3, 256, true},
+		{0.8, 0.2, 128, false},
+		{0.7, 0.2, 128, true},
+	} {
+		q, err := NewQueueNormalized(onOffSource(t, 1), c.util, c.nbuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := q.Model()
+		bins := coldBins(m, cfg)
+		theta := startTheta(m, cfg)
+		if bins != c.bins || (theta > 0) != c.certified {
+			t.Errorf("util %g, b %g: first rung %d, θ·B %v; want %d, certified %v",
+				c.util, c.nbuf, bins, theta*m.Buffer, c.bins, c.certified)
+		}
+		if c.certified && theta*m.Buffer < certFloor {
+			t.Errorf("util %g, b %g: certified θ·B %v below certFloor", c.util, c.nbuf, theta*m.Buffer)
+		}
+	}
+}
+
+// TestCertifiedUpperIteratesBound: from a certified upper start every raw
+// upper iterate, not only the running minimum LossBounds reports, bounds
+// the loss from above (Prop. II.1 from a start >=st the stationary
+// occupancy), across steps and refinements: none falls below the lower
+// bound of a tight solve, within the roundoff slack. The reported upper
+// bound is exactly the least raw iterate so far.
+func TestCertifiedUpperIteratesBound(t *testing.T) {
+	q, err := NewQueueNormalized(onOffSource(t, 1), 0.7, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for n := 0; n < 10; n++ {
-		it.Step()
+	m := q.Model()
+	// Any lower iterate bounds the loss from below; this one is within 0.2%
+	// of its upper bound.
+	tight, err := SolveModel(m, Config{RelGap: 1e-3, MaxBins: 4096, MaxIterations: 20000})
+	if err != nil {
+		t.Fatal(err)
 	}
-	loBefore, hiBefore := it.LossBounds()
-	if !it.Refine() {
-		t.Fatal("refine should succeed below MaxBins")
+	if !(tight.Lower > 0) {
+		t.Fatalf("reference solve: lower %v", tight.Lower)
 	}
-	if it.Bins() != 64 {
-		t.Fatalf("bins = %d, want 64", it.Bins())
+	it, err := NewModelIterator(m, Config{InitialBins: 32, MaxBins: 512})
+	if err != nil {
+		t.Fatal(err)
 	}
-	lo, hi := it.LossBounds()
-	// The projection is exact, so the loss bounds are unchanged (the loss
-	// table at even fine-grid points equals the coarse table).
-	if !numerics.AlmostEqual(lo, loBefore, 1e-9) || !numerics.AlmostEqual(hi, hiBefore, 1e-9) {
-		t.Fatalf("refine moved the bounds: (%v,%v) -> (%v,%v)", loBefore, hiBefore, lo, hi)
+	defer it.release()
+	if !it.certified {
+		t.Fatal("a finite-cutoff model should start certified")
 	}
-	if s := numerics.KahanSum(it.LowerOccupancy()); !numerics.AlmostEqual(s, 1, 1e-9) {
-		t.Fatalf("mass after refine = %v", s)
-	}
-	// Refinement stops at MaxBins.
-	if !it.Refine() {
-		t.Fatal("second refine should still fit (64 -> 128)")
-	}
-	if it.Refine() {
-		t.Fatal("refine beyond MaxBins must fail")
+	slack := it.cfg.slack()
+	least := it.lossOf(it.qh)
+	for n := 0; n < 300; n++ {
+		if n%100 == 50 {
+			it.Refine()
+		} else if err := it.Step(); err != nil {
+			t.Fatal(err)
+		}
+		raw := it.lossOf(it.qh)
+		least = math.Min(least, raw)
+		lo, hi := it.LossBounds()
+		if raw < tight.Lower-slack || raw < lo-slack {
+			t.Fatalf("n=%d, M=%d: raw upper %v below the lower bounds %v (tight) / %v", n, it.Bins(), raw, tight.Lower, lo)
+		}
+		if hi != least {
+			t.Fatalf("n=%d: reported upper %v, least raw iterate %v", n, hi, least)
+		}
 	}
 }
 
@@ -462,7 +570,7 @@ func TestConfigDefaults(t *testing.T) {
 
 // TestConfigHashRevision: the hash covers the solver revision, so the
 // zero Config no longer hashes to the value written by solvers before the
-// drift-chosen first rung and certified upper start (revision 0), whose
+// cold start's first rung and certified upper start (revision 0), whose
 // journals and cache entries hold results the current solver would not
 // reproduce.
 func TestConfigHashRevision(t *testing.T) {

@@ -13,27 +13,55 @@ import (
 //
 //   - First rung. Eq. 22 rounds each increment up by less than d = B/M, so
 //     the upper chain's mean increment lies in [E[W], E[W] + d). While
-//     d > |E[W]| that chain has no negative drift and its steps are wasted;
-//     the ladder therefore starts at the first rung whose d <= |E[W]|.
+//     d > |E[W]| that chain has no negative drift. Its steps are wasted
+//     only if that drift piles it against B: in the diffusion
+//     approximation its stationary law tilts like e^{2μx/E[W²]} on [0, B]
+//     for a drift μ < d, so a rung with d <= E[W²]/(2B) keeps the tilt
+//     below e across the buffer, and the chain spreads over it in about
+//     B²/E[W²] steps. The ladder therefore starts at the first rung whose
+//     d <= max(|E[W]|, E[W²]/(2B)). The second term matters near
+//     utilization 1, where |E[W]| vanishes but the coarse rungs still
+//     bracket the loss.
 //   - Upper start. For any θ > 0 with E[e^{θW}] <= 1, Kingman's martingale
 //     bound (Proc. Camb. Phil. Soc. 60, 1964) gives Pr{Q > x} <= e^{−θx} for
 //     the infinite-buffer queue, which lies pathwise above the finite one.
 //     So min(Exp(θ), B), projected up onto the grid, is >=st the stationary
 //     occupancy, and the up-rounded kernel keeps every iterate so (the Seed
 //     argument in warm.go). certifyTheta finds such a θ for laws with a
-//     finite Upper(); unbounded laws keep the paper's full start.
+//     finite Upper() where θ·B reaches certFloor; elsewhere the start is the
+//     paper's full one.
 
 // coldBins is the first rung of a cold solve's ladder: the first
 // InitialBins·2^k not above MaxBins whose grid step B/M is at most
-// |E[W]| = E[T]·(c − λ̄). An unstable queue (λ̄ >= c) has no negative drift
-// at any rung and starts at InitialBins.
+// max(|E[W]|, E[W²]/(2B)), with |E[W]| = E[T]·(c − λ̄). An unstable queue
+// (λ̄ >= c) has no negative drift at any rung and starts at InitialBins.
 func coldBins(m Model, cfg Config) int {
 	drain := m.Interarrival.Mean() * (m.ServiceRate - m.Marginal.Mean())
+	step := math.Max(drain, incrementSecondMoment(m)/(2*m.Buffer))
 	bins := cfg.InitialBins
-	for drain > 0 && bins*2 <= cfg.MaxBins && m.Buffer/float64(bins) > drain {
+	for drain > 0 && bins*2 <= cfg.MaxBins && m.Buffer/float64(bins) > step {
 		bins *= 2
 	}
 	return bins
+}
+
+// incrementSecondMoment is E[W²] = E[T²]·E[(λ−c)²], or 0 where the epoch
+// law does not expose a finite E[T²] (an infinite cutoff with α <= 2).
+func incrementSecondMoment(m Model) float64 {
+	law, ok := m.Interarrival.(interface{ SecondMoment() float64 })
+	if !ok {
+		return 0
+	}
+	t2 := law.SecondMoment()
+	if !(t2 < math.Inf(1)) {
+		return 0
+	}
+	var v float64
+	for i := 0; i < m.Marginal.Len(); i++ {
+		dr := m.Marginal.Rate(i) - m.ServiceRate
+		v += m.Marginal.Prob(i) * dr * dr
+	}
+	return t2 * v
 }
 
 // startTheta is the θ of a cold upper start, or 0 for the full start. Every
@@ -50,6 +78,11 @@ func startTheta(m Model, cfg Config) float64 {
 // thetaCells is the number of cells K of certifyTheta's bound.
 const thetaCells = 32
 
+// certFloor is the least θ·B worth certifying. Below it the start keeps
+// more than e^{−1/2} ≈ 61% of its mass at B, drains about as slowly as the
+// full start, and saves fewer steps than the certification costs.
+const certFloor = 0.5
+
 // certMargin is certifyTheta's roundoff margin: θ is accepted only when its
 // bound on E[e^{θW}] − 1 is below −certMargin times the bound's absolute
 // mass, orders of magnitude above the bound's floating-point error.
@@ -61,8 +94,8 @@ const certTol = 1e-3
 
 // certifyTheta returns a θ > 0 certified to satisfy E[e^{θW}] <= 1 for the
 // model's work increment W = T·(λ−c), or 0 when the epoch law is unbounded
-// (Upper() = ∞), the marginal lacks a positive or a negative drift, or no θ
-// certifies.
+// (Upper() = ∞), the marginal lacks a positive or a negative drift, or
+// θ = certFloor/B does not certify.
 //
 // With J the law's IntegralCCDF and cells 0 = t_0 < … < t_K = Upper(),
 // let T̃ be T with its ccdf replaced on each cell by the cell average
@@ -75,8 +108,9 @@ const certTol = 1e-3
 // back. So E[e^{aT}] <= E[e^{aT̃}] for either sign of a, and
 // U(θ) = Σ_i π_i·E[e^{θ(λ_i−c)T̃}] bounds E[e^{θW}] from above. U is a
 // moment generating function, so U − 1 is negative between 0 and one upper
-// root; Newton's method finds that root, and the last point is placed just
-// below it, where it certifies.
+// root: if θ = certFloor/B fails, so does every larger θ, and the check
+// costs one evaluation of U. Otherwise Newton's method finds the root, and
+// the last point is placed just below it, where it certifies.
 func certifyTheta(m Model) float64 {
 	upper := m.Interarrival.Upper()
 	if !(upper > 0) || math.IsInf(upper, 1) {
@@ -84,6 +118,10 @@ func certifyTheta(m Model) float64 {
 	}
 	b := newThetaBound(m, upper)
 	if b == nil {
+		return 0
+	}
+	lo, hi := certFloor/m.Buffer, math.Inf(1)
+	if pos, neg, _, _ := b.excess(lo); !certifies(pos, neg) {
 		return 0
 	}
 	// Start from the Gaussian root 2|E[W]|/E[W̃²], kept inside the bracket
@@ -95,16 +133,15 @@ func certifyTheta(m Model) float64 {
 			second += b.prob[i] * p * dr * dr * b.t[k] * b.t[k]
 		}
 	}
-	theta := -2 * mean / second
-	lo, hi := 0.0, math.Inf(1)
+	theta := math.Max(-2*mean/second, 2*lo)
 	for i := 0; i < 60 && theta > 0 && !math.IsInf(theta, 1); i++ {
 		pos, neg, dpos, dneg := b.excess(theta)
-		if pos*(1+certMargin)+neg*(1-certMargin) <= 0 {
+		if certifies(pos, neg) {
 			lo = theta
 		} else {
 			hi = theta
 		}
-		if lo > 0 && hi-lo <= certTol*hi {
+		if hi-lo <= certTol*hi {
 			break
 		}
 		// Newton on log(pos/−neg), nearly linear in θ: the positive part
@@ -114,16 +151,20 @@ func certifyTheta(m Model) float64 {
 		case pos > -neg && next > lo && theta-next < certTol*theta/2:
 			next *= 1 - certTol/4
 		case next > lo && next < hi:
-		case lo > 0 && !math.IsInf(hi, 1):
+		case !math.IsInf(hi, 1):
 			next = (lo + hi) / 2
-		case pos > -neg:
-			next = theta / 2
 		default:
 			next = 2 * theta
 		}
 		theta = next
 	}
 	return lo
+}
+
+// certifies reports whether a bound U − 1 = pos + neg lies below
+// −certMargin times its absolute mass.
+func certifies(pos, neg float64) bool {
+	return pos*(1+certMargin)+neg*(1-certMargin) <= 0
 }
 
 // thetaBound is the law of T̃ (edges t, masses mass) and the marginal's
