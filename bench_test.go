@@ -13,11 +13,9 @@ package lrd_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"testing"
 	"time"
 
@@ -115,7 +113,7 @@ func benchSweepGrid(b *testing.B) (core.TraceModel, []float64, []float64) {
 
 // benchDenseSweep times LossVsBufferAndCutoff over the dense grid and
 // reports ns/cell — the unit warm starts are judged in.
-func benchDenseSweep(b *testing.B, name string, warm bool) {
+func benchDenseSweep(b *testing.B, warm bool) {
 	tm, buffers, cutoffs := benchSweepGrid(b)
 	// The tight RelGap is the regime warm starts target: the Clegg
 	// critique's "dense, accurate grids" — cold solves pay many fine-rung
@@ -139,18 +137,16 @@ func benchDenseSweep(b *testing.B, name string, warm bool) {
 	b.StopTimer()
 	nsPerCell := float64(elapsed.Nanoseconds()) / float64(b.N*cells)
 	b.ReportMetric(nsPerCell, "ns/cell")
-	recordBench(b, name, nsPerCell, b.N)
 }
 
 // BenchmarkSweepPerCell is the baseline: every cell runs a cold solve from
 // the coarse M-doubling ladder.
-func BenchmarkSweepPerCell(b *testing.B) { benchDenseSweep(b, "SweepPerCell", false) }
+func BenchmarkSweepPerCell(b *testing.B) { benchDenseSweep(b, false) }
 
 // BenchmarkBatchSweep is the warm-chained sweep over the identical grid:
-// each cell is seeded from its buffer-axis neighbor. BENCH_solver.json then
-// carries both ns/cell figures, so the speedup claim is a ratio of
-// committed artifacts (CI asserts ≥ 3×).
-func BenchmarkBatchSweep(b *testing.B) { benchDenseSweep(b, "BatchSweep", true) }
+// each cell is seeded from its buffer-axis neighbor. CI divides the two
+// benchmarks' ns/cell figures and asserts the warm sweep is ≥ 3× faster.
+func BenchmarkBatchSweep(b *testing.B) { benchDenseSweep(b, true) }
 
 // --- component micro-benchmarks ---
 
@@ -168,54 +164,17 @@ func benchQueue(b *testing.B, cutoff float64) lrd.Queue {
 	return q
 }
 
-// --- bench harness: machine-readable results ---
-
-// benchResultsFile collects the solver benchmark numbers CI uploads as an
-// artifact; each recorded benchmark is one key with its mean ns/op.
-const benchResultsFile = "BENCH_solver.json"
-
-type benchEntry struct {
-	NsPerOp float64 `json:"ns_per_op"`
-	Iters   int     `json:"iters"`
-}
-
-// recordBench merges one benchmark result into benchResultsFile
-// (read-modify-write: the file accumulates every benchmark of a run).
-// Benchmarks run sequentially within a `go test -bench` invocation, so no
-// locking is needed.
-func recordBench(b *testing.B, name string, nsPerOp float64, iters int) {
-	b.Helper()
-	results := map[string]benchEntry{}
-	if data, err := os.ReadFile(benchResultsFile); err == nil {
-		// A corrupt or stale file is discarded, not fatal.
-		_ = json.Unmarshal(data, &results)
-	}
-	results[name] = benchEntry{NsPerOp: nsPerOp, Iters: iters}
-	data, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(benchResultsFile, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// benchSolve times lrd.Solve with the given config and records the result
-// under name in benchResultsFile.
-func benchSolve(b *testing.B, name string, opts ...lrd.Option) {
+// benchSolve times lrd.Solve with the given config.
+func benchSolve(b *testing.B, cfg lrd.SolverConfig) {
 	b.Helper()
 	q := benchQueue(b, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
-	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, err := lrd.Solve(q, lrd.SolverConfig{}, opts...); err != nil {
+		if _, err := lrd.Solve(q, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
-	elapsed := time.Since(start)
-	b.StopTimer()
-	recordBench(b, name, float64(elapsed.Nanoseconds())/float64(b.N), b.N)
 }
 
 // BenchmarkSolveOnOff measures one full solver run (the paper's "typical
@@ -223,15 +182,14 @@ func benchSolve(b *testing.B, name string, opts ...lrd.Option) {
 // attached — the baseline the ±2 % no-regression acceptance bar compares
 // against.
 func BenchmarkSolveOnOff(b *testing.B) {
-	benchSolve(b, "SolveOnOff")
+	benchSolve(b, lrd.SolverConfig{})
 }
 
 // BenchmarkSolveInstrumented is the identical solve with a live metrics
-// registry and a trace sink attached; comparing it against SolveOnOff in
-// BENCH_solver.json gives the observed telemetry overhead.
+// registry and a trace sink attached; comparing it against SolveOnOff
+// gives the observed telemetry overhead.
 func BenchmarkSolveInstrumented(b *testing.B) {
-	benchSolve(b, "SolveInstrumented",
-		lrd.WithRecorder(lrd.NewMetricsRegistry()), lrd.WithTrace(func(lrd.TracePoint) {}))
+	benchSolve(b, lrd.SolverConfig{Recorder: lrd.NewMetricsRegistry(), Trace: func(lrd.TracePoint) {}})
 }
 
 // BenchmarkSolveNilRecorder is the tracing layer's allocation guard: the
@@ -239,8 +197,8 @@ func BenchmarkSolveInstrumented(b *testing.B) {
 // and no Recorder, the configuration every uninstrumented run sees. The
 // AllocsPerRun probe asserts the disabled tracing surface itself (context
 // lookups, StartSpan, finish) contributes exactly zero allocations; the
-// timed loop then records the full solve so BENCH_solver.json can compare
-// it against SolveOnOff (any gap would be tracing overhead).
+// timed loop then times the full solve for comparison against SolveOnOff
+// (any gap would be tracing overhead).
 func BenchmarkSolveNilRecorder(b *testing.B) {
 	ctx := lrd.ContextWithTrace(context.Background(), lrd.NewTrace())
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -256,15 +214,11 @@ func BenchmarkSolveNilRecorder(b *testing.B) {
 	q := benchQueue(b, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
-	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		if _, err := lrd.SolveContext(ctx, q, lrd.SolverConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
-	elapsed := time.Since(start)
-	b.StopTimer()
-	recordBench(b, "SolveNilRecorder", float64(elapsed.Nanoseconds())/float64(b.N), b.N)
 }
 
 // BenchmarkProvision times one inverse solve per op: the minimal buffer, up
@@ -286,7 +240,6 @@ func BenchmarkProvision(b *testing.B) {
 	opts := lrd.ProvisionOptions{SLO: 0.05, Util: 0.7, Max: 2}
 	b.ReportAllocs()
 	b.ResetTimer()
-	start := time.Now()
 	solves := 0
 	for i := 0; i < b.N; i++ {
 		p, err := lrd.Provision(context.Background(), ts, opts)
@@ -295,10 +248,7 @@ func BenchmarkProvision(b *testing.B) {
 		}
 		solves += p.Solves
 	}
-	elapsed := time.Since(start)
-	b.StopTimer()
 	b.ReportMetric(float64(solves)/float64(b.N), "solves/op")
-	recordBench(b, "Provision", float64(elapsed.Nanoseconds())/float64(b.N), b.N)
 }
 
 // BenchmarkSolverStep measures a single Lindley iteration of both bound
@@ -311,15 +261,11 @@ func BenchmarkSolverStep(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		if err := it.Step(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	elapsed := time.Since(start)
-	b.StopTimer()
-	recordBench(b, "SolverStep/m1024", float64(elapsed.Nanoseconds())/float64(b.N), b.N)
 }
 
 // BenchmarkConvolve measures one FFT convolution at the solver's shape, an
@@ -341,13 +287,9 @@ func BenchmarkConvolve(b *testing.B) {
 			fft.ConvolveRealInto(q, w, &s) // grow the buffers
 			b.ReportAllocs()
 			b.ResetTimer()
-			start := time.Now()
 			for i := 0; i < b.N; i++ {
 				fft.ConvolveRealInto(q, w, &s)
 			}
-			elapsed := time.Since(start)
-			b.StopTimer()
-			recordBench(b, fmt.Sprintf("Convolve/m%d", m), float64(elapsed.Nanoseconds())/float64(b.N), b.N)
 		})
 	}
 }

@@ -120,7 +120,7 @@ func (o RunOptions) sweepConfig(id string) SweepConfig {
 		Model:   o.Model,
 		Store:   o.Store,
 		Retry:   o.Retry,
-		Prefix:  fmt.Sprintf("%s|seed=%d|quick=%t|cfg=%s|model=%s|", id, o.Seed, o.Quick, ConfigHash(cfg), o.Model.Key()),
+		Prefix:  fmt.Sprintf("%s|seed=%d|quick=%t|cfg=%s|model=%s|", id, o.Seed, o.Quick, solver.ConfigHash(cfg), o.Model.Key()),
 		Workers: o.Workers,
 		Remote:  o.Remote,
 		// Warm sweeps namespace their own journal keys (see

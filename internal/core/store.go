@@ -325,15 +325,6 @@ func (c SweepConfig) Sub(extra string) SweepConfig {
 	return c
 }
 
-// ConfigHash returns a short stable hash of the solver-configuration
-// fields that influence cell results. Sweep key prefixes include it so a
-// journal written under one configuration is never replayed into a run
-// with another (the cells would not be comparable). It is solver.ConfigHash
-// (the canonical implementation, shared with the serving layer's solve
-// cache) re-exported under its historical name; the hash bytes are
-// unchanged, so pre-existing journals keep replaying.
-func ConfigHash(cfg solver.Config) string { return solver.ConfigHash(cfg) }
-
 // fkey formats a float for use in a journal key: shortest round-trippable
 // form, so the same grid value always produces the same key.
 func fkey(v float64) string {

@@ -322,6 +322,28 @@ func LoadAndQuarantine(path string) (records []Record, stats LoadStats, err erro
 // corrupt rather than decoded (a defensive cap — real records are < 1 KiB).
 const maxLineBytes = 16 * 1024 * 1024
 
+// lineKind classifies one non-blank journal line.
+type lineKind int
+
+const (
+	lineRecord      lineKind = iota // a decoded record whose checksum holds
+	lineCorrupt                     // undecodable, incomplete, or over maxLineBytes
+	lineCrcMismatch                 // decoded, but its checksum fails
+)
+
+// decodeLine decodes one trimmed, non-blank journal line, the one rule
+// Load and ReadFrom share for which lines to trust.
+func decodeLine(line []byte) (Record, lineKind) {
+	var rec Record
+	if len(line) > maxLineBytes || json.Unmarshal(line, &rec) != nil || rec.Key == "" || rec.Status == "" {
+		return Record{}, lineCorrupt
+	}
+	if !verified(rec) {
+		return Record{}, lineCrcMismatch
+	}
+	return rec, lineRecord
+}
+
 // load is the shared replay: records plus classified stats plus the
 // damaged lines themselves (interior corruption and CRC mismatches, in
 // file order) for callers that quarantine.
@@ -348,24 +370,21 @@ func load(path string) (records []Record, stats LoadStats, bad [][]byte, err err
 		if len(line) == 0 {
 			continue
 		}
-		var rec Record
-		if len(line) > maxLineBytes || json.Unmarshal(line, &rec) != nil || rec.Key == "" || rec.Status == "" {
+		rec, kind := decodeLine(line)
+		trailingCorrupt = kind == lineCorrupt
+		switch kind {
+		case lineCorrupt:
 			stats.CorruptInterior++
-			trailingCorrupt = true
 			bad = append(bad, line)
-			continue
-		}
-		if !verified(rec) {
+		case lineCrcMismatch:
 			// Structurally valid but content-damaged: never a torn-tail
 			// artifact (truncation cannot produce well-formed JSON with a
 			// checksum field), so it is damage wherever it sits.
 			stats.CrcMismatch++
-			trailingCorrupt = false
 			bad = append(bad, line)
-			continue
+		default:
+			records = append(records, rec)
 		}
-		trailingCorrupt = false
-		records = append(records, rec)
 	}
 	if trailingCorrupt {
 		stats.CorruptInterior--
@@ -473,16 +492,14 @@ func ReadFrom(path string, offset int64) (records []Record, stats TailStats, nex
 		if len(line) == 0 {
 			continue
 		}
-		var rec Record
-		if json.Unmarshal(line, &rec) != nil || rec.Key == "" || rec.Status == "" {
+		switch rec, kind := decodeLine(line); kind {
+		case lineCorrupt:
 			stats.Corrupt++
-			continue
-		}
-		if !verified(rec) {
+		case lineCrcMismatch:
 			stats.CrcMismatch++
-			continue
+		default:
+			records = append(records, rec)
 		}
-		records = append(records, rec)
 	}
 	return records, stats, next, nil
 }

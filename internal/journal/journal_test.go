@@ -514,3 +514,33 @@ func TestReadFrom(t *testing.T) {
 		t.Fatalf("corrupt line: recs=%v corrupt=%v err=%v", recs, corrupt, err)
 	}
 }
+
+// TestOversizedLineSkipped: a complete, well-formed record line longer than
+// maxLineBytes is skipped and counted as corrupt by both readers, so a
+// resumed sweep and the lease store and fleet view, which tail the journal
+// with ReadFrom, agree on what the journal holds.
+func TestOversizedLineSkipped(t *testing.T) {
+	path := tmpPath(t)
+	// A checksum-less (legacy) ok record, padded past the cap by its value.
+	big := `{"key":"big","status":"ok","value":"` + strings.Repeat("x", maxLineBytes) + "\"}\n"
+	if err := os.WriteFile(path, []byte(big), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := Open(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, w, Record{Key: "small", Status: StatusOK})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recs, stats, err := Load(path)
+	if err != nil || len(recs) != 1 || recs[0].Key != "small" || stats.CorruptInterior != 1 {
+		t.Fatalf("Load: %d records, stats %+v, err %v; want only small and one corrupt line", len(recs), stats, err)
+	}
+	recs, tail, _, err := ReadFrom(path, 0)
+	if err != nil || len(recs) != 1 || recs[0].Key != "small" || tail.Corrupt != 1 {
+		t.Fatalf("ReadFrom: %d records, stats %+v, err %v; want only small and one corrupt line", len(recs), tail, err)
+	}
+}

@@ -278,31 +278,6 @@ func (h *Histogram) Mean() float64 {
 	return h.Sum() / float64(n)
 }
 
-// UpperQuantile returns the upper bound of the bucket holding the q-th
-// quantile sample (the ⌈q·n⌉-th smallest of n), an allocation-free upper
-// bound on the q-quantile for hot-path readers. n is the sum of the bucket
-// loads, so concurrent writers cannot push the rank past the buckets.
-// Returns NaN when empty.
-func (h *Histogram) UpperQuantile(q float64) float64 {
-	var loads [histBucket]uint64
-	var n uint64
-	for i := range h.counts {
-		loads[i] = h.counts[i].Load()
-		n += loads[i]
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	rank := min(max(uint64(math.Ceil(q*float64(n))), 1), n)
-	var seen uint64
-	for i, c := range loads {
-		if seen += c; seen >= rank {
-			return bucketUpper(i)
-		}
-	}
-	return math.Inf(1)
-}
-
 // atomicAddFloat CAS-accumulates delta into a float64 stored as bits.
 func atomicAddFloat(bits *atomic.Uint64, delta float64) {
 	for {

@@ -54,26 +54,3 @@ func TestHistogramQuantiles(t *testing.T) {
 		t.Fatal("empty histogram quantile should be NaN")
 	}
 }
-
-// TestHistogramUpperQuantile: the bucket-top quantile brackets quantiles
-// from above, sees a lone outlier at an extreme rank, is NaN when empty,
-// and reads without allocating.
-func TestHistogramUpperQuantile(t *testing.T) {
-	var h Histogram
-	if q := h.UpperQuantile(0.95); !math.IsNaN(q) {
-		t.Fatalf("empty histogram: quantile = %v, want NaN", q)
-	}
-	for i := 0; i < 100; i++ {
-		h.Observe(0.003) // bucket top 2^-8 s ≈ 3.9ms
-	}
-	h.Observe(0.4)
-	if q := h.UpperQuantile(0.95); q < 0.003 || q > 0.008 {
-		t.Fatalf("p95 = %v, want within [3ms, 8ms]", q)
-	}
-	if q := h.UpperQuantile(0.999); q < 0.256 {
-		t.Fatalf("p99.9 = %v, want to see the outlier", q)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { h.UpperQuantile(0.95) }); allocs != 0 {
-		t.Fatalf("UpperQuantile allocates %v/op, want 0", allocs)
-	}
-}

@@ -17,11 +17,10 @@
 //     re-opening it immediately on failure. With several replicas the
 //     round-robin rotation simply skips open breakers, so retries land on
 //     healthy hosts without waiting out a dead one.
-//   - Optional hedging: when a request has been in flight for HedgeAfter
-//     (or the observed latency quantile, whichever is larger), a duplicate
-//     is sent to a second healthy replica and the first response wins; the
-//     loser is canceled. Hedging is idempotent-safe here because every
-//     lrdserve endpoint is a deterministic, cacheable computation.
+//   - Optional hedging: when a request has been in flight for HedgeAfter, a
+//     duplicate is sent to a second healthy replica and the first response
+//     wins; the loser is canceled. Hedging is idempotent-safe here because
+//     every lrdserve endpoint is a deterministic, cacheable computation.
 //   - Context-deadline propagation: the caller's ctx bounds everything —
 //     transport, backoff sleeps, and hedge waits all abort with ctx.Err().
 //
@@ -49,8 +48,8 @@ import (
 )
 
 // Policy is the per-client resilience configuration. The zero value means
-// "defaults" (see the field comments), not "disabled" — except HedgeAfter
-// and HedgeQuantile, whose zero genuinely disables hedging.
+// "defaults" (see the field comments), not "disabled" — except HedgeAfter,
+// whose zero genuinely disables hedging.
 type Policy struct {
 	// MaxAttempts is the total tries per Do call (first attempt included).
 	// Default 4.
@@ -68,13 +67,8 @@ type Policy struct {
 	// allowing one half-open probe. Default 5s.
 	BreakerCooldown time.Duration
 	// HedgeAfter duplicates an in-flight request to a second replica after
-	// this delay. Zero disables hedging (unless HedgeQuantile is set).
+	// this delay. Zero disables hedging.
 	HedgeAfter time.Duration
-	// HedgeQuantile, when in (0,1), derives the hedge delay from the
-	// client's own observed latency distribution (e.g. 0.95 hedges the
-	// slowest 5%), once enough samples exist; HedgeAfter then acts as a
-	// floor. Zero uses the static HedgeAfter alone.
-	HedgeQuantile float64
 	// MaxBodyBytes caps a response body read. Default 8 MiB.
 	MaxBodyBytes int64
 }
@@ -157,7 +151,6 @@ type Client struct {
 	transport http.RoundTripper
 	rec       obs.Recorder
 	next      atomic.Uint64 // round-robin cursor over replicas
-	lat       obs.Histogram // successful-request seconds, feeds HedgeQuantile
 
 	// Injectable time and randomness, for the fake-clock unit suite.
 	now     func() time.Time
@@ -399,26 +392,6 @@ func (c *Client) pickHedge(primary *replica) *replica {
 	return nil
 }
 
-// minHedgeSamples gates the adaptive hedge delay: below this many
-// observations the quantile is noise and the static HedgeAfter rules.
-const minHedgeSamples = 8
-
-// hedgeDelay returns the in-flight duration after which a request is
-// hedged; 0 disables. The adaptive delay is the top of the latency bucket
-// holding the HedgeQuantile — coarse (factor-of-two) resolution, which is
-// plenty for a hedge trigger.
-func (c *Client) hedgeDelay() time.Duration {
-	p := c.policy
-	if p.HedgeQuantile > 0 && p.HedgeQuantile < 1 && c.lat.Count() >= minHedgeSamples {
-		q := time.Duration(c.lat.UpperQuantile(p.HedgeQuantile) * float64(time.Second))
-		if q < p.HedgeAfter {
-			return p.HedgeAfter
-		}
-		return q
-	}
-	return p.HedgeAfter
-}
-
 // settle applies one attempt's outcome to a replica's breaker. Outcomes of
 // requests we canceled ourselves (hedge losers) are discounted: the
 // replica wasn't given a chance to answer.
@@ -437,7 +410,7 @@ func (c *Client) settle(rep *replica, res *Response, err error, canceled bool) {
 // slow and the policy allows. probe marks a half-open breaker's test
 // request, which is deliberately a single unhedged trial.
 func (c *Client) attempt(ctx context.Context, rep *replica, probe bool, method, path string, body []byte) (*Response, error) {
-	hedge := c.hedgeDelay()
+	hedge := c.policy.HedgeAfter
 	if probe || hedge <= 0 || len(c.replicas) < 2 {
 		res, err := c.roundTrip(ctx, rep, method, path, body)
 		c.settle(rep, res, err, err != nil && ctx.Err() != nil)
@@ -527,14 +500,8 @@ func (c *Client) roundTrip(ctx context.Context, rep *replica, method, path strin
 	if int64(len(b)) > c.policy.MaxBodyBytes {
 		return nil, fmt.Errorf("resilient: %s reply exceeds %d-byte body cap", rep.baseStr, c.policy.MaxBodyBytes)
 	}
-	elapsed := c.now().Sub(start)
 	if c.rec != nil {
-		c.rec.Observe(obs.MetricResilientRequestSeconds, elapsed.Seconds())
-	}
-	if !failure(hres.StatusCode) {
-		// Only successful latencies feed the hedge trigger: fast failures
-		// would drag the quantile down and hedge everything.
-		c.lat.Observe(elapsed.Seconds())
+		c.rec.Observe(obs.MetricResilientRequestSeconds, c.now().Sub(start).Seconds())
 	}
 	return &Response{
 		Status:  hres.StatusCode,

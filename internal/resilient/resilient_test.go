@@ -484,29 +484,9 @@ func TestNewRejectsBadFleet(t *testing.T) {
 	}
 }
 
-// TestHedgeDelayWaitsForSamples: the adaptive hedge delay withholds
-// judgment below the sample floor, then follows the observed latency
-// quantile from above.
-func TestHedgeDelayWaitsForSamples(t *testing.T) {
-	c, err := New([]string{"http://a.test", "http://b.test"}, Options{Policy: Policy{HedgeQuantile: 0.95}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < minHedgeSamples-1; i++ {
-		c.lat.Observe(0.003)
-	}
-	if d := c.hedgeDelay(); d != c.policy.HedgeAfter {
-		t.Fatalf("hedge delay below the sample floor = %v, want the static %v", d, c.policy.HedgeAfter)
-	}
-	c.lat.Observe(0.003)
-	if d := c.hedgeDelay(); d < 3*time.Millisecond || d > 8*time.Millisecond {
-		t.Fatalf("hedge delay = %v, want within [3ms, 8ms]", d)
-	}
-}
-
 // TestDisabledPathAllocs: with no recorder, the per-request resilience
-// bookkeeping — replica pick, breaker verdict, backoff arithmetic, latency
-// observation, hedge-delay lookup — allocates nothing.
+// bookkeeping — replica pick, breaker verdict, backoff arithmetic —
+// allocates nothing.
 func TestDisabledPathAllocs(t *testing.T) {
 	c, err := New([]string{"http://a.test", "http://b.test"}, Options{})
 	if err != nil {
@@ -516,8 +496,6 @@ func TestDisabledPathAllocs(t *testing.T) {
 		rep, _ := c.pick()
 		c.settle(rep, &okResp, nil, false)
 		_ = c.backoff(3)
-		c.lat.Observe(0.002)
-		_ = c.hedgeDelay()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates %v/op, want 0", allocs)
@@ -543,13 +521,5 @@ func BenchmarkBackoff(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = c.backoff(1 + i%4)
-	}
-}
-
-func BenchmarkLatencyObserve(b *testing.B) {
-	var h obs.Histogram
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i%1000+1) * 1e-6)
 	}
 }

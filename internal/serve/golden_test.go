@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"testing"
+	"time"
 
 	"lrd/internal/solver"
 )
@@ -22,6 +23,17 @@ func TestCacheKeyGolden(t *testing.T) {
 	const want = "v1|mg=0:0.5,2:0.5|a=1.4|th=0.019999999999999997|tc=inf|c=1.25|B=0.625|model=fluid|cfg=405394f9e67bceff"
 	if job.key != want {
 		t.Fatalf("cache key changed:\n got  %s\n want %s", job.key, want)
+	}
+}
+
+// TestConfigHashGolden pins solver.ConfigHash with every settable slot of
+// its format nonzero, beside the zero config the cache key above pins:
+// journal keys and cached entries written under such a config must keep
+// replaying.
+func TestConfigHashGolden(t *testing.T) {
+	cfg := solver.Config{InitialBins: 64, MaxBins: 1024, RelGap: 0.05, MaxIterations: 20000, MaxDuration: 2 * time.Second}
+	if got, want := solver.ConfigHash(cfg), "2e5ec9b19b7354a3"; got != want {
+		t.Fatalf("ConfigHash(%+v) = %s, want %s", cfg, got, want)
 	}
 }
 

@@ -89,7 +89,7 @@ func TestColdStartBracketsAgree(t *testing.T) {
 		if c.heavy && testing.Short() {
 			continue
 		}
-		slack := solver.Slack(c.cfg)
+		slack := solver.Slack
 		got, err := solver.SolveModelContext(ctx, c.m, c.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -125,7 +125,7 @@ func TestCertifiedStartDominates(t *testing.T) {
 		if c.heavy && testing.Short() {
 			continue
 		}
-		theta := solver.StartTheta(c.m, c.cfg)
+		theta := solver.StartTheta(c.m)
 		if theta == 0 {
 			continue
 		}
@@ -159,7 +159,7 @@ func TestCertifiedStartDominates(t *testing.T) {
 		if mf%ms != 0 {
 			t.Fatalf("%s: tight solve at M = %d is not a refinement of the start's M = %d", c.name, mf, ms)
 		}
-		slack := solver.Slack(c.cfg)
+		slack := solver.Slack
 		for i := range lower {
 			// Pr{S > i·d_f}: the start's ccdf at the coarse point below.
 			if g := start[i*ms/mf]; g < lower[i]-slack {

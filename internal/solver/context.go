@@ -191,7 +191,7 @@ func (it *Iterator) runContext(ctx context.Context) (Result, error) {
 		loMove := relChange(prevLo, it.snap(it.lowerLoss))
 		hiMove := relChange(prevHi, it.snap(it.upperLoss))
 		prevLo, prevHi = it.snap(it.lowerLoss), it.snap(it.upperLoss)
-		if loMove < it.cfg.StallTol && hiMove < it.cfg.StallTol {
+		if loMove < stallTol && hiMove < stallTol {
 			stall++
 		} else {
 			stall = 0

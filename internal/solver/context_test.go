@@ -56,7 +56,7 @@ func TestSolveContextDegradedPaths(t *testing.T) {
 		{"expired deadline", expired, Config{}, DegradedDeadline},
 		{"max-duration budget", context.Background(), Config{MaxDuration: time.Nanosecond}, DegradedDeadline},
 		{"iteration budget", context.Background(),
-			Config{MaxIterations: 3, RelGap: 1e-9, StallTol: 0}, DegradedIterations},
+			Config{MaxIterations: 3, RelGap: 1e-9}, DegradedIterations},
 	}
 	q := lossyQueue(t)
 	for _, tc := range cases {

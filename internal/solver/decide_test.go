@@ -98,7 +98,6 @@ func cutAt(t *testing.T, c decideCase, k int) Result {
 // decided bracket reports Converged, no degradation, and the midpoint loss.
 func TestDecidePrefix(t *testing.T) {
 	ctx := context.Background()
-	floor := Config{}.withDefaults().LossFloor
 	for _, c := range decideCases(t) {
 		plain, err := SolveModelSeeded(ctx, c.m, c.cfg, c.seed)
 		if err != nil {
@@ -118,7 +117,7 @@ func TestDecidePrefix(t *testing.T) {
 			if !got.Converged || got.Degraded != "" {
 				t.Errorf("%s at %g: decided result converged=%t degraded=%q", c.name, th, got.Converged, got.Degraded)
 			}
-			if mid := (got.Lower + got.Upper) / 2; got.Loss != mid && !(got.Loss == 0 && got.Upper < floor) {
+			if mid := (got.Lower + got.Upper) / 2; got.Loss != mid && !(got.Loss == 0 && got.Upper < lossFloor) {
 				t.Errorf("%s at %g: decided loss %g, want midpoint %g", c.name, th, got.Loss, mid)
 			}
 		}

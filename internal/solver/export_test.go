@@ -9,11 +9,11 @@ import (
 // packages that import this one (the source registry, internal/core).
 var CertifyTheta = certifyTheta
 
-// StartTheta is the θ of m's cold upper start under cfg (0: full start).
-func StartTheta(m Model, cfg Config) float64 { return startTheta(m, cfg.withDefaults()) }
+// StartTheta is the θ of m's cold upper start (0: full start).
+var StartTheta = startTheta
 
 // Slack is the absolute roundoff slack brackets are compared within.
-func Slack(cfg Config) float64 { return cfg.withDefaults().slack() }
+const Slack = slack
 
 // GoldenCase is one solver-golden model and configuration.
 type GoldenCase struct {

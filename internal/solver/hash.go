@@ -21,12 +21,14 @@ import (
 // does not depend on how much budget was left) should zero it before
 // hashing. The hash also covers solverRevision, so results computed by
 // solver arithmetic that no Config field describes are not replayed either.
+// The three 0 slots once held the loss-floor, stall and mass-drift
+// tolerances, which are fixed constants (see solver.go); printing the 0
+// those unset fields printed keeps every earlier hash valid.
 func ConfigHash(cfg Config) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%g|%g|%d|%g|%s|%g|rev=%d",
-		cfg.InitialBins, cfg.MaxBins, cfg.RelGap, cfg.LossFloor,
-		cfg.MaxIterations, cfg.StallTol, cfg.MaxDuration, cfg.MassDriftTol,
-		solverRevision)
+	fmt.Fprintf(h, "%d|%d|%g|0|%d|0|%s|0|rev=%d",
+		cfg.InitialBins, cfg.MaxBins, cfg.RelGap,
+		cfg.MaxIterations, cfg.MaxDuration, solverRevision)
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 

@@ -19,7 +19,7 @@ const (
 	// loss bounds.
 	HealthNotFinite HealthKind = "not-finite"
 	// HealthMassDrift: the probability mass of a convolved occupancy pmf
-	// drifted from 1 by more than Config.MassDriftTol before
+	// drifted from 1 by more than massDriftTol before
 	// renormalization (roundoff drift is ~1e-15 per step; anything larger
 	// indicates corrupted inputs or a broken convolution).
 	HealthMassDrift HealthKind = "mass-drift"
@@ -73,9 +73,8 @@ func (it *Iterator) checkStepHealth(driftL, driftH, newLo, newHi float64) error 
 	if math.IsNaN(driftL) || math.IsNaN(driftH) || math.IsInf(driftL, 0) || math.IsInf(driftH, 0) {
 		return it.numericErr(HealthNotFinite, "occupancy mass drift not finite (lower %v, upper %v)", driftL, driftH)
 	}
-	tol := it.cfg.MassDriftTol
-	if math.Abs(driftL) > tol || math.Abs(driftH) > tol {
-		return it.numericErr(HealthMassDrift, "occupancy mass drifted by (lower %v, upper %v), tolerance %v", driftL, driftH, tol)
+	if math.Abs(driftL) > massDriftTol || math.Abs(driftH) > massDriftTol {
+		return it.numericErr(HealthMassDrift, "occupancy mass drifted by (lower %v, upper %v), tolerance %v", driftL, driftH, massDriftTol)
 	}
 	if math.IsNaN(newLo) || math.IsNaN(newHi) || math.IsInf(newLo, 0) || math.IsInf(newHi, 0) {
 		return it.numericErr(HealthNotFinite, "loss bounds not finite (lower %v, upper %v)", newLo, newHi)
@@ -101,7 +100,7 @@ func (it *Iterator) checkStepHealth(driftL, driftH, newLo, newHi float64) error 
 // validatePMF checks a freshly built increment pmf for finite entries and
 // near-unit mass; it guards model construction against corrupted
 // distribution inputs.
-func (it *Iterator) validatePMF(name string, w []float64, massTol float64) error {
+func (it *Iterator) validatePMF(name string, w []float64) error {
 	var sum float64
 	for _, v := range w {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -109,8 +108,8 @@ func (it *Iterator) validatePMF(name string, w []float64, massTol float64) error
 		}
 		sum += v
 	}
-	if math.Abs(sum-1) > massTol {
-		return it.numericErr(HealthMassDrift, "%s pmf mass %v, want 1 within %v", name, sum, massTol)
+	if math.Abs(sum-1) > massDriftTol {
+		return it.numericErr(HealthMassDrift, "%s pmf mass %v, want 1 within %v", name, sum, massDriftTol)
 	}
 	return nil
 }

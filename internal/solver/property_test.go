@@ -171,9 +171,10 @@ func TestPropertyWorkCDFIsDistribution(t *testing.T) {
 			return false
 		}
 		span := (q.Source.Marginal.Max() + q.ServiceRate) * math.Min(q.Source.Interarrival.Cutoff, 1e6)
+		both := q.Source.Interarrival.CCDFBoth
 		prev := -1.0
 		for _, x := range numerics.Linspace(-span-1, span+1, 101) {
-			v := it.workCDF(x, false)
+			_, v := it.workCDF(x, both)
 			if v < prev-1e-12 || v < 0 || v > 1 {
 				return false
 			}
@@ -181,7 +182,9 @@ func TestPropertyWorkCDFIsDistribution(t *testing.T) {
 		}
 		// The mixture sums renormalized probabilities, so the limits are
 		// exact only to within an ulp of the mass normalization.
-		return it.workCDF(span+2, false) > 1-1e-9 && it.workCDF(-span-2, false) < 1e-12
+		_, hi := it.workCDF(span+2, both)
+		_, lo := it.workCDF(-span-2, both)
+		return hi > 1-1e-9 && lo < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

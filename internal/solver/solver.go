@@ -37,7 +37,7 @@
 //     Config.MaxIterations an iteration budget; exhausting either degrades
 //     gracefully the same way instead of erroring or hanging.
 //   - Numeric health. A watchdog in the hot loop rejects NaN/Inf values,
-//     occupancy-mass drift beyond Config.MassDriftTol, bracket inversion
+//     occupancy-mass drift beyond massDriftTol, bracket inversion
 //     (lower > upper), and non-monotone bound movement. Violations surface
 //     as *NumericError (matching the ErrNumeric sentinel) and the offending
 //     step is never committed, so callers never observe garbage bounds. The
@@ -157,16 +157,7 @@ func (q Queue) Model() Model {
 
 // NewQueue validates and returns a Queue.
 func NewQueue(src fluid.Source, serviceRate, buffer float64) (Queue, error) {
-	if !(serviceRate > 0) {
-		return Queue{}, fmt.Errorf("solver: service rate %v, need > 0", serviceRate)
-	}
-	if !(buffer > 0) || math.IsInf(buffer, 1) {
-		return Queue{}, fmt.Errorf("solver: buffer %v, need finite > 0", buffer)
-	}
-	if src.Marginal.Len() == 0 {
-		return Queue{}, errors.New("solver: queue source has empty marginal")
-	}
-	if err := src.Interarrival.Validate(); err != nil {
+	if _, err := NewModel(src.Marginal, src.Interarrival, serviceRate, buffer); err != nil {
 		return Queue{}, err
 	}
 	return Queue{Source: src, ServiceRate: serviceRate, Buffer: buffer}, nil
@@ -189,9 +180,30 @@ func (q Queue) Utilization() float64 { return q.Source.MeanRate() / q.ServiceRat
 // NormalizedBuffer returns B/c in seconds.
 func (q Queue) NormalizedBuffer() float64 { return q.Buffer / q.ServiceRate }
 
+// The procedure's fixed tolerances: the paper's loss floor (§III) and the
+// solver's numerical guards.
+const (
+	// lossFloor: if the upper bound falls below it, the loss is reported as
+	// zero (paper: 1e-10, "below practical importance").
+	lossFloor = 1e-10
+	// stallTol declares the n-iteration stationary at the current M when
+	// both bounds move by less than stallTol relative per step.
+	stallTol = 1e-4
+	// massDriftTol is the numeric-health watchdog's tolerance for occupancy
+	// pmf mass drift per convolution step before renormalization. Drift
+	// beyond it returns a *NumericError instead of silently renormalizing
+	// corrupted mass (roundoff drift is ~1e-15).
+	massDriftTol = 1e-6
+	// slack is the absolute roundoff slack of a loss bound. Prop. II.1
+	// holds in exact arithmetic; in floating point the FFT leaves bound
+	// values of 1e-17 to 1e-16 where the loss is zero. Values below the
+	// slack are snapped to zero (snap), and brackets agree within it.
+	slack = lossFloor / 100
+)
+
 // Config tunes the solver. The zero value selects the defaults the paper's
 // experimental setup describes (§III): a 20 % relative gap target between
-// the bounds and a 1e-10 loss floor below which zero loss is reported.
+// the bounds; its 1e-10 loss floor is the fixed lossFloor.
 type Config struct {
 	// InitialBins is the floor of the resolution ladder, default 128: a cold
 	// solve starts at the first InitialBins·2^k whose grid step B/M is at
@@ -204,24 +216,13 @@ type Config struct {
 	// RelGap is the convergence target: the solver stops when
 	// (upper−lower) <= RelGap·(upper+lower)/2. Default 0.2 (the paper's 20%).
 	RelGap float64
-	// LossFloor: if the upper bound falls below it, the loss is reported as
-	// zero (paper: 1e-10, "below practical importance").
-	LossFloor float64
 	// MaxIterations caps the total number of Lindley iterations across all
 	// resolutions. Default 200000.
 	MaxIterations int
-	// StallTol declares the n-iteration stationary at the current M when
-	// both bounds move by less than StallTol relative per step. Default 1e-4.
-	StallTol float64
 	// MaxDuration is a per-solve wall-clock budget. When positive, RunContext
 	// (and SolveContext/SolveModelContext) stop after it elapses and return
 	// the best-so-far bracket as a degraded Result. Zero means no budget.
 	MaxDuration time.Duration
-	// MassDriftTol is the numeric-health watchdog's tolerance for occupancy
-	// pmf mass drift per convolution step before renormalization. Drift
-	// beyond it returns a *NumericError instead of silently renormalizing
-	// corrupted mass. Default 1e-6 (roundoff drift is ~1e-15).
-	MassDriftTol float64
 	// Recorder receives solver telemetry (step counts and timings, bound
 	// gap, mass drift, convolution path, refinements, per-solve outcomes;
 	// see internal/obs for the metric names). A nil Recorder — the default
@@ -277,30 +278,15 @@ func (c Config) withDefaults() Config {
 	if c.RelGap <= 0 {
 		c.RelGap = 0.2
 	}
-	if c.LossFloor <= 0 {
-		c.LossFloor = 1e-10
-	}
 	if c.MaxIterations <= 0 {
 		c.MaxIterations = 200000
-	}
-	if c.StallTol <= 0 {
-		c.StallTol = 1e-4
-	}
-	if c.MassDriftTol <= 0 {
-		c.MassDriftTol = 1e-6
 	}
 	return c
 }
 
-// slack is the absolute roundoff slack of a loss bound, LossFloor/100.
-// Prop. II.1 holds in exact arithmetic; in floating point the FFT leaves
-// bound values of 1e-17 to 1e-16 where the loss is zero. Values below the
-// slack are snapped to zero (snap), and brackets agree within it.
-func (c Config) slack() float64 { return c.LossFloor / 100 }
-
 // snap maps a bound value below the roundoff slack to zero.
 func (it *Iterator) snap(v float64) float64 {
-	if v < it.cfg.slack() {
+	if v < slack {
 		return 0
 	}
 	return v
@@ -444,9 +430,6 @@ type Iterator struct {
 
 // NewIterator validates the queue and prepares the initial resolution.
 func NewIterator(q Queue, cfg Config) (*Iterator, error) {
-	if _, err := NewQueue(q.Source, q.ServiceRate, q.Buffer); err != nil {
-		return nil, err
-	}
 	return NewModelIterator(q.Model(), cfg)
 }
 
@@ -483,11 +466,11 @@ func newIterator(m Model, cfg Config, bins int) (*Iterator, error) {
 		scratch:     borrowScratch(cfg.Recorder),
 	}
 	it.setResolution(bins)
-	if err := it.validatePMF("lower increment", it.wl, cfg.MassDriftTol); err != nil {
+	if err := it.validatePMF("lower increment", it.wl); err != nil {
 		it.release()
 		return nil, err
 	}
-	if err := it.validatePMF("upper increment", it.wh, cfg.MassDriftTol); err != nil {
+	if err := it.validatePMF("upper increment", it.wh); err != nil {
 		it.release()
 		return nil, err
 	}
@@ -509,7 +492,7 @@ func (it *Iterator) startCold() {
 	clear(it.ql)
 	clear(it.qh)
 	it.ql[0] = 1 // Q_L(0) = 0: start empty
-	if theta := startTheta(it.model, it.cfg); theta > 0 {
+	if theta := startTheta(it.model); theta > 0 {
 		certifiedStart(it.qh, theta, it.d)
 		it.certified = true
 		if rec := it.cfg.Recorder; rec != nil {
@@ -737,7 +720,7 @@ func (it *Iterator) Refine() bool {
 // already lies on one side of the threshold.
 func (it *Iterator) converged() (Result, bool) {
 	lo, hi := it.lowerLoss, it.upperLoss
-	if hi < it.cfg.LossFloor {
+	if hi < lossFloor {
 		return it.result(0, lo, hi, true), true
 	}
 	mid := (hi + lo) / 2
@@ -867,7 +850,18 @@ func (it *Iterator) cdfTables(m int, prevCl, prevCc []float64) (cl, cc []float64
 	cl = it.scratch.getFloat(2*m + 2)
 	cc = it.scratch.getFloat(2*m + 2)
 	reuse := len(prevCl) == m+2 && len(prevCc) == m+2
-	both, fused := it.model.Interarrival.(ccdfBoth)
+	// Both built-in laws evaluate Pr{T > t} and Pr{T >= t} in one CCDFBoth
+	// call, at about the cost of one (the two share their power-law or
+	// exponential-sum evaluation except at atoms); each component is
+	// bitwise equal to the separate CCDF / CCDFAtLeast call another law
+	// falls back to.
+	law := it.model.Interarrival
+	both := func(t float64) (gt, ge float64) { return law.CCDF(t), law.CCDFAtLeast(t) }
+	if fused, ok := law.(interface {
+		CCDFBoth(float64) (float64, float64)
+	}); ok {
+		both = fused.CCDFBoth
+	}
 	for i := -m; i <= m+1; i++ {
 		idx := i + m
 		if reuse && idx%2 == 0 {
@@ -875,24 +869,9 @@ func (it *Iterator) cdfTables(m int, prevCl, prevCc []float64) (cl, cc []float64
 			cc[idx] = prevCc[idx/2]
 			continue
 		}
-		x := float64(i) * d
-		if fused {
-			cl[idx], cc[idx] = it.workCDFBoth(x, both)
-		} else {
-			cl[idx] = it.workCDF(x, true)
-			cc[idx] = it.workCDF(x, false)
-		}
+		cl[idx], cc[idx] = it.workCDF(float64(i)*d, both)
 	}
 	return cl, cc
-}
-
-// ccdfBoth is the optional law contract behind the fused cdf tabulation:
-// one call yields Pr{T > t} and Pr{T >= t}, each bitwise equal to the
-// separate CCDF / CCDFAtLeast evaluations, at roughly half the cost (the
-// components share their power-law or exponential-sum evaluation except at
-// atoms). Both built-in laws implement it.
-type ccdfBoth interface {
-	CCDFBoth(t float64) (gt, ge float64)
 }
 
 func clampNonneg(xs []float64) {
@@ -903,12 +882,12 @@ func clampNonneg(xs []float64) {
 	}
 }
 
-// workCDFBoth evaluates Pr{W < x} and Pr{W <= x} in one pass over the
-// marginal, using the law's fused CCDFBoth. Each accumulator receives, in
-// the same order, bitwise the same contributions the two separate workCDF
-// passes would add, so the results are bit-identical to the unfused path —
-// at half the law-evaluation cost, which dominates grid (re)construction.
-func (it *Iterator) workCDFBoth(x float64, p ccdfBoth) (strict, nonstrict float64) {
+// workCDF evaluates the mixture distribution of the per-epoch work
+// increment W = T·(λ−c) (Eq. 10) at x: Pr{W < x} and Pr{W <= x}, in one
+// pass over the marginal, from both(t) = (Pr{T > t}, Pr{T >= t}). The
+// interarrival law T has a continuous Pareto part on (0, Tc) and an atom
+// at Tc, so W inherits atoms at (λ_i−c)·Tc.
+func (it *Iterator) workCDF(x float64, both func(t float64) (gt, ge float64)) (strict, nonstrict float64) {
 	c := it.model.ServiceRate
 	marg := it.model.Marginal
 	var accS, accN numerics.Accumulator
@@ -930,7 +909,7 @@ func (it *Iterator) workCDFBoth(x float64, p ccdfBoth) (strict, nonstrict float6
 			if x <= 0 {
 				continue
 			}
-			gt, ge := p.CCDFBoth(x / drift)
+			gt, ge := both(x / drift)
 			accS.Add(pi * (1 - ge)) // Pr{W_i < x} = 1 − Pr{T >= t}
 			accN.Add(pi * (1 - gt)) // Pr{W_i <= x} = 1 − Pr{T > t}
 		default: // drift < 0: W_i < 0 a.s.
@@ -939,61 +918,12 @@ func (it *Iterator) workCDFBoth(x float64, p ccdfBoth) (strict, nonstrict float6
 				accN.Add(pi)
 				continue
 			}
-			gt, ge := p.CCDFBoth(x / drift)
-			accS.Add(pi * gt) // Pr{W_i < x} = Pr{T > t}
-			accN.Add(pi * ge) // Pr{W_i <= x} = Pr{T >= t}
+			gt, ge := both(x / drift) // t > 0; W_i <= x ⇔ T >= t
+			accS.Add(pi * gt)         // Pr{W_i < x} = Pr{T > t}
+			accN.Add(pi * ge)         // Pr{W_i <= x} = Pr{T >= t}
 		}
 	}
 	return numerics.Clamp(accS.Sum(), 0, 1), numerics.Clamp(accN.Sum(), 0, 1)
-}
-
-// workCDF evaluates the mixture distribution of the per-epoch work
-// increment W = T·(λ−c) (Eq. 10): Pr{W < x} when strict, else Pr{W <= x}.
-// The interarrival law T has a continuous Pareto part on (0, Tc) and an
-// atom at Tc, so W inherits atoms at (λ_i−c)·Tc.
-func (it *Iterator) workCDF(x float64, strict bool) float64 {
-	p := it.model.Interarrival
-	c := it.model.ServiceRate
-	marg := it.model.Marginal
-	var acc numerics.Accumulator
-	for i := 0; i < marg.Len(); i++ {
-		lam := marg.Rate(i)
-		pi := marg.Prob(i)
-		drift := lam - c
-		switch {
-		case drift == 0:
-			// W_i ≡ 0.
-			if x > 0 || (!strict && x == 0) {
-				acc.Add(pi)
-			}
-		case drift > 0:
-			// W_i = T·drift > 0 a.s.
-			if x <= 0 {
-				continue
-			}
-			t := x / drift
-			// Pr{W_i < x} = Pr{T < t} = 1 − Pr{T >= t};
-			// Pr{W_i <= x} = Pr{T <= t} = 1 − Pr{T > t}.
-			if strict {
-				acc.Add(pi * (1 - p.CCDFAtLeast(t)))
-			} else {
-				acc.Add(pi * (1 - p.CCDF(t)))
-			}
-		default: // drift < 0: W_i < 0 a.s.
-			if x >= 0 {
-				acc.Add(pi)
-				continue
-			}
-			t := x / drift // positive; W_i <= x ⇔ T >= t
-			if strict {
-				// Pr{W_i < x} = Pr{T > t}.
-				acc.Add(pi * p.CCDF(t))
-			} else {
-				acc.Add(pi * p.CCDFAtLeast(t))
-			}
-		}
-	}
-	return numerics.Clamp(acc.Sum(), 0, 1)
 }
 
 // lossTable precomputes E[W_l | Q = j·d] for j = 0..M using the closed form

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -131,29 +132,95 @@ func TestWorkCDFMonotoneAndBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	both := q.Source.Interarrival.CCDFBoth
 	xs := numerics.Linspace(-q.Buffer*2, q.Buffer*2, 401)
 	prev := -1.0
 	for _, x := range xs {
-		v := it.workCDF(x, false)
+		s, v := it.workCDF(x, both)
 		if v < prev-1e-12 {
 			t.Fatalf("workCDF not monotone at %v", x)
 		}
 		if v < 0 || v > 1 {
 			t.Fatalf("workCDF out of range: %v", v)
 		}
-		if s := it.workCDF(x, true); s > v+1e-12 {
+		if s > v+1e-12 {
 			t.Fatalf("strict CDF exceeds CDF at %v", x)
 		}
 		prev = v
 	}
 	// Far tails.
 	maxW := (q.Source.Marginal.Max() - q.ServiceRate) * q.Source.Interarrival.Cutoff
-	if got := it.workCDF(maxW+1, false); got != 1 {
+	if _, got := it.workCDF(maxW+1, both); got != 1 {
 		t.Fatalf("CDF beyond max W = %v, want 1", got)
 	}
 	minW := (q.Source.Marginal.Min() - q.ServiceRate) * q.Source.Interarrival.Cutoff
-	if got := it.workCDF(minW-1, false); got != 0 {
+	if _, got := it.workCDF(minW-1, both); got != 0 {
 		t.Fatalf("CDF below min W = %v, want 0", got)
+	}
+}
+
+// paretoNoBoth and hyperNoBoth hide their law's CCDFBoth behind a field of
+// the same name, so cdfTables takes its separate CCDF / CCDFAtLeast path;
+// every other method, SecondMoment and IntegralCCDFFunc included, stays
+// promoted, so nothing else about the solve changes.
+type paretoNoBoth struct {
+	dist.TruncatedPareto
+	CCDFBoth struct{}
+}
+
+type hyperNoBoth struct {
+	dist.Hyperexponential
+	CCDFBoth struct{}
+}
+
+// TestCDFTablesFallbackBitIdentical: a law without CCDFBoth solves to the
+// fused path's exact bits. Rates {0, 2} at c = 1 give drifts of ±1, so
+// with B = 1 and a cutoff of 1/2 the Pareto atom lands on the grid point
+// x = ±1/2 at every rung, where Pr{T > t} and Pr{T >= t} differ; a
+// fallback that swapped them would move these results.
+func TestCDFTablesFallbackBitIdentical(t *testing.T) {
+	hyper, err := dist.NewHyperexponential([]float64{0.5, 0.5}, []float64{0.02, 0.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	finite := dist.TruncatedPareto{Theta: 0.05, Alpha: 1.4, Cutoff: 0.5}
+	infinite := dist.TruncatedPareto{Theta: 0.05, Alpha: 1.4, Cutoff: math.Inf(1)}
+	laws := []struct {
+		name          string
+		fused, hidden dist.Interarrival
+	}{
+		{"pareto/Tc=0.5", finite, paretoNoBoth{TruncatedPareto: finite}},
+		{"pareto/Tc=inf", infinite, paretoNoBoth{TruncatedPareto: infinite}},
+		{"hyperexponential", hyper, hyperNoBoth{Hyperexponential: hyper}},
+	}
+	type fusedLaw interface {
+		CCDFBoth(float64) (float64, float64)
+	}
+	for _, law := range laws {
+		if _, ok := law.hidden.(fusedLaw); ok {
+			t.Fatalf("%s: the wrapper still exposes CCDFBoth", law.name)
+		}
+		if _, ok := law.hidden.(interface{ SecondMoment() float64 }); !ok {
+			t.Fatalf("%s: the wrapper hides SecondMoment", law.name)
+		}
+		if _, ok := law.hidden.(integralCCDFCurried); !ok {
+			t.Fatalf("%s: the wrapper hides IntegralCCDFFunc", law.name)
+		}
+		for _, util := range []float64{0.5, 0.8, 0.95} {
+			marg := dist.MustMarginal([]float64{0, 2}, []float64{1 - util/2, util / 2})
+			label := fmt.Sprintf("%s/util=%g", law.name, util)
+			var res [2]Result
+			for k, inter := range []dist.Interarrival{law.fused, law.hidden} {
+				m, err := NewModel(marg, inter, 1, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res[k], err = SolveModel(m, Config{}); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+			}
+			sameBits(t, res[1], res[0], label)
+		}
 	}
 }
 
@@ -172,7 +239,8 @@ func TestExpectedLossGivenOccupancyMatchesQuadrature(t *testing.T) {
 	for _, frac := range []float64{0, 0.25, 0.5, 0.9, 1} {
 		x := frac * q.Buffer
 		want := numerics.Trapezoid(func(y float64) float64 {
-			return 1 - it.workCDF(y+q.Buffer-x, false)
+			_, cdf := it.workCDF(y+q.Buffer-x, q.Source.Interarrival.CCDFBoth)
+			return 1 - cdf
 		}, 0, maxW, 400000)
 		got := it.ExpectedLossGivenOccupancy(x)
 		if !numerics.AlmostEqual(got, want, 1e-3) {
@@ -496,7 +564,7 @@ func TestColdStartRule(t *testing.T) {
 		}
 		m := q.Model()
 		bins := coldBins(m, cfg)
-		theta := startTheta(m, cfg)
+		theta := startTheta(m)
 		if bins != c.bins || (theta > 0) != c.certified {
 			t.Errorf("util %g, b %g: first rung %d, θ·B %v; want %d, certified %v",
 				c.util, c.nbuf, bins, theta*m.Buffer, c.bins, c.certified)
@@ -536,7 +604,6 @@ func TestCertifiedUpperIteratesBound(t *testing.T) {
 	if !it.certified {
 		t.Fatal("a finite-cutoff model should start certified")
 	}
-	slack := it.cfg.slack()
 	least := it.lossOf(it.qh)
 	for n := 0; n < 300; n++ {
 		if n%100 == 50 {
@@ -558,7 +625,7 @@ func TestCertifiedUpperIteratesBound(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.InitialBins <= 0 || c.MaxBins < c.InitialBins || c.RelGap != 0.2 || c.LossFloor != 1e-10 {
+	if c.InitialBins <= 0 || c.MaxBins < c.InitialBins || c.RelGap != 0.2 {
 		t.Fatalf("bad defaults: %+v", c)
 	}
 	// MaxBins below InitialBins gets raised.

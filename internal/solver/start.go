@@ -70,9 +70,9 @@ func incrementSecondMoment(m Model) float64 {
 // roundoff slack stops at step 0 like one at the slack, but would report an
 // upper bound below the FFT roundoff (1e-17 to 1e-16) that lower bounds
 // carry in zero-loss cells.
-func startTheta(m Model, cfg Config) float64 {
+func startTheta(m Model) float64 {
 	theta := certifyTheta(m)
-	return math.Min(theta, -math.Log(cfg.slack())/m.Buffer)
+	return math.Min(theta, -math.Log(slack)/m.Buffer)
 }
 
 // thetaCells is the number of cells K of certifyTheta's bound.

@@ -28,14 +28,17 @@
 //	res, err := lrd.Solve(q, lrd.SolverConfig{})
 //	fmt.Println(res.Loss, res.Lower, res.Upper)
 //
-// Solves are customized with functional options — telemetry, budgets, and
-// the traffic model the queue's reference source is realized as:
+// A solve is configured by its SolverConfig alone — telemetry and budgets
+// are fields — and is solved under another traffic model by realizing the
+// queue's reference source as that model first:
 //
-//	res, err := lrd.SolveContext(ctx, q, lrd.SolverConfig{},
-//		lrd.WithRecorder(reg),                         // obs metrics
-//		lrd.WithTimeout(5*time.Second),                // degrade, don't hang
-//		lrd.WithModel(lrd.ModelSpec{Name: "markov"}),  // §IV equivalent model
-//	)
+//	cfg := lrd.SolverConfig{
+//		Recorder:    reg,             // obs metrics
+//		MaxDuration: 5 * time.Second, // degrade, don't hang
+//	}
+//	src, err := lrd.ModelSpec{Name: "markov"}.Realize(q.Source) // §IV equivalent model
+//	m, err := lrd.NewModelFromSource(src, q.ServiceRate, q.Buffer)
+//	res, err := lrd.SolveModelContext(ctx, m, cfg)
 //
 // # Package map
 //
@@ -63,10 +66,6 @@
 package lrd
 
 import (
-	"context"
-	"errors"
-	"time"
-
 	"lrd/internal/ams"
 	"lrd/internal/core"
 	"lrd/internal/dist"
@@ -160,10 +159,20 @@ var (
 	NewHyperexponential = dist.NewHyperexponential
 )
 
-// Solving. The four entry points take the numerical configuration plus a
-// variadic list of Options; a call without options is byte-for-byte the
-// historical API, so existing callers compile and behave unchanged.
+// Solving. Each entry point takes the queue or model and one
+// SolverConfig; the zero SolverConfig uses the paper's settings.
 var (
+	// Solve computes the stationary loss rate of a Queue.
+	Solve = solver.Solve
+	// SolveContext is Solve with cancellation, deadline, and budget
+	// support: on interruption it returns the best-so-far bracketed Result
+	// with Result.Degraded set rather than an error.
+	SolveContext = solver.SolveContext
+	// SolveModel computes the stationary loss rate of a general Model.
+	SolveModel = solver.SolveModel
+	// SolveModelContext is SolveModel with the same degrade-gracefully
+	// contract as SolveContext.
+	SolveModelContext = solver.SolveModelContext
 	// NewIterator exposes the bound iteration step by step.
 	NewIterator = solver.NewIterator
 	// ErrNumeric is the sentinel matched (via errors.Is) by every numeric
@@ -174,106 +183,6 @@ var (
 	// sweep journal and the lrdserve solve cache.
 	SolverConfigHash = solver.ConfigHash
 )
-
-// Option customizes a solve beyond its positional SolverConfig: telemetry
-// sinks, wall-clock budgets, and the traffic model the queue's reference
-// source is realized as. Options are applied in order, so a later option
-// overrides an earlier one touching the same setting.
-type Option func(*solveSettings)
-
-type solveSettings struct {
-	cfg      SolverConfig
-	model    ModelSpec
-	hasModel bool
-}
-
-func (s *solveSettings) apply(opts []Option) {
-	for _, opt := range opts {
-		if opt != nil {
-			opt(s)
-		}
-	}
-}
-
-// WithRecorder streams solver telemetry (step counts and timings, bound
-// gap, per-solve outcomes; see MetricsRegistry) to rec. Results are
-// bit-identical with or without a recorder; WithRecorder(nil) keeps the
-// instrumented paths allocation-free.
-func WithRecorder(rec Recorder) Option {
-	return func(s *solveSettings) { s.cfg.Recorder = rec }
-}
-
-// WithTrace streams one TracePoint per solver iteration (plus a final
-// point) to fn. By Proposition II.1 the lower bounds in the stream are
-// non-decreasing and the upper bounds non-increasing within each solve.
-func WithTrace(fn func(TracePoint)) Option {
-	return func(s *solveSettings) { s.cfg.Trace = fn }
-}
-
-// WithTimeout imposes a per-solve wall-clock budget (SolverConfig
-// MaxDuration). When it expires the solver degrades gracefully: the
-// best-so-far bracketed Result is returned with Result.Degraded set, never
-// an error — the bounds are valid at every iteration.
-func WithTimeout(d time.Duration) Option {
-	return func(s *solveSettings) { s.cfg.MaxDuration = d }
-}
-
-// WithModel realizes the queue's reference fluid source as the named
-// registered traffic model (see RegisterModel; "fluid", "onoff", "markov",
-// "mmfq" are built in) before solving — the zero spec is the fluid
-// identity. It applies to Solve and SolveContext, whose Queue carries the
-// reference source; SolveModel and SolveModelContext reject it, since a
-// general Model retains no reference to refit.
-func WithModel(spec ModelSpec) Option {
-	return func(s *solveSettings) { s.model, s.hasModel = spec, true }
-}
-
-// WithConfig replaces the solve's entire SolverConfig, for call sites that
-// assemble the configuration separately from the options that refine it.
-func WithConfig(cfg SolverConfig) Option {
-	return func(s *solveSettings) { s.cfg = cfg }
-}
-
-// Solve computes the stationary loss rate of a Queue.
-func Solve(q Queue, cfg SolverConfig, opts ...Option) (Result, error) {
-	return SolveContext(context.Background(), q, cfg, opts...)
-}
-
-// SolveContext is Solve with cancellation, deadline, and budget support:
-// on interruption it returns the best-so-far bracketed Result with
-// Result.Degraded set rather than an error.
-func SolveContext(ctx context.Context, q Queue, cfg SolverConfig, opts ...Option) (Result, error) {
-	s := solveSettings{cfg: cfg}
-	s.apply(opts)
-	if !s.hasModel {
-		return solver.SolveContext(ctx, q, s.cfg)
-	}
-	src, err := s.model.Realize(q.Source)
-	if err != nil {
-		return Result{}, err
-	}
-	m, err := solver.NewModelFromSource(src, q.ServiceRate, q.Buffer)
-	if err != nil {
-		return Result{}, err
-	}
-	return solver.SolveModelContext(ctx, m, s.cfg)
-}
-
-// SolveModel computes the stationary loss rate of a general Model.
-func SolveModel(m Model, cfg SolverConfig, opts ...Option) (Result, error) {
-	return SolveModelContext(context.Background(), m, cfg, opts...)
-}
-
-// SolveModelContext is SolveModel with the same degrade-gracefully
-// contract as SolveContext.
-func SolveModelContext(ctx context.Context, m Model, cfg SolverConfig, opts ...Option) (Result, error) {
-	s := solveSettings{cfg: cfg}
-	s.apply(opts)
-	if s.hasModel {
-		return Result{}, errors.New("lrd: WithModel applies to Solve/SolveContext (a Queue carries the reference source to realize); build the Model from the realized source instead")
-	}
-	return solver.SolveModelContext(ctx, m, s.cfg)
-}
 
 // Robustness vocabulary: why a Result came back degraded, and the typed
 // error carrying numeric-watchdog diagnoses.
@@ -522,9 +431,6 @@ var (
 	Sweep = core.Sweep
 	// OpenJournalStore opens (or, with resume, replays) a cell journal.
 	OpenJournalStore = core.OpenJournalStore
-	// SweepConfigHash hashes the result-affecting solver-configuration
-	// fields for use in journal key prefixes.
-	SweepConfigHash = core.ConfigHash
 )
 
 // Experiment orchestration (the figures of the paper's §III).

@@ -10,8 +10,8 @@ import (
 	"lrd"
 )
 
-// TestExportSurfaceCompiles pins the facade: every exported constructor,
-// function alias, and option is referenced (so a re-export that drifts to
+// TestExportSurfaceCompiles pins the facade: every exported constructor
+// and function alias is referenced (so a re-export that drifts to
 // a different signature breaks this test at compile time, which golden
 // TSVs can never see), and the cheap ones are called once.
 func TestExportSurfaceCompiles(t *testing.T) {
@@ -54,7 +54,6 @@ func TestExportSurfaceCompiles(t *testing.T) {
 		_ lrd.FECParams
 		_ lrd.MMFQModulator
 		_ lrd.MMFQSolution
-		_ lrd.Option
 	)
 
 	// Function-alias vars: taking them as values pins their signatures.
@@ -71,6 +70,10 @@ func TestExportSurfaceCompiles(t *testing.T) {
 	_ = lrd.NewQueueNormalized
 	_ = lrd.NewModel
 	_ = lrd.NewHyperexponential
+	_ = lrd.Solve
+	_ = lrd.SolveContext
+	_ = lrd.SolveModel
+	_ = lrd.SolveModelContext
 	_ = lrd.NewIterator
 	_ = lrd.ErrNumeric
 	_ = lrd.SolverConfigHash
@@ -99,7 +102,6 @@ func TestExportSurfaceCompiles(t *testing.T) {
 	_ = lrd.MarkovEquivalentModel
 	_ = lrd.Sweep
 	_ = lrd.OpenJournalStore
-	_ = lrd.SweepConfigHash
 	_ = lrd.BuildTraceModel
 	_ = lrd.MTVModel
 	_ = lrd.BellcoreModel
@@ -138,9 +140,6 @@ func TestExportSurfaceCompiles(t *testing.T) {
 	if names := lrd.ModelNames(); len(names) < 4 {
 		t.Fatalf("registered models %v; want at least fluid/onoff/markov/mmfq", names)
 	}
-	if lrd.SolverConfigHash(lrd.SolverConfig{}) != lrd.SweepConfigHash(lrd.SolverConfig{}) {
-		t.Fatal("SolverConfigHash and SweepConfigHash disagree; journals would stop replaying")
-	}
 	src, err := lrd.NewSource(m, lrd.TruncatedPareto{Theta: 0.02, Alpha: 1.2, Cutoff: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -160,9 +159,11 @@ func TestExportSurfaceCompiles(t *testing.T) {
 	}
 }
 
-// TestSolveOptions exercises the functional-options surface: options
-// thread through to the solver, WithModel realizes a registered model, and
-// an option-free call matches the historical behavior bit for bit.
+// TestSolveOptions exercises the solve options a SolverConfig carries and
+// the model path beside it: telemetry sinks and a budget set as fields
+// leave the result bit-identical, and a registered model realized through
+// ModelSpec.Realize solves through SolveModel — the fluid identity bit for
+// bit like Solve.
 func TestSolveOptions(t *testing.T) {
 	m := lrd.MustMarginal([]float64{0, 2}, []float64{0.5, 0.5})
 	src, err := lrd.NewSource(m, lrd.TruncatedPareto{Theta: 0.02, Alpha: 1.2, Cutoff: 10})
@@ -182,64 +183,57 @@ func TestSolveOptions(t *testing.T) {
 	// Instrumented solve: bit-identical result, recorder and trace fire.
 	reg := lrd.NewMetricsRegistry()
 	points := 0
-	got, err := lrd.SolveContext(context.Background(), q, lrd.SolverConfig{},
-		lrd.WithRecorder(reg),
-		lrd.WithTrace(func(lrd.TracePoint) { points++ }),
-		lrd.WithTimeout(time.Minute),
-	)
+	got, err := lrd.SolveContext(context.Background(), q, lrd.SolverConfig{
+		Recorder:    reg,
+		Trace:       func(lrd.TracePoint) { points++ },
+		MaxDuration: time.Minute,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Loss != plain.Loss || got.Lower != plain.Lower || got.Upper != plain.Upper {
-		t.Fatalf("options changed the result: %+v vs %+v", got, plain)
+	if !sameResult(got, plain) {
+		t.Fatalf("recorder, trace and budget changed the result: %+v vs %+v", got, plain)
 	}
 	if points == 0 {
-		t.Fatal("WithTrace sink never fired")
+		t.Fatal("Trace sink never fired")
 	}
 	if snap := reg.Snapshot(); snap.Counters["solver_solves_total"] != 1 {
-		t.Fatalf("WithRecorder saw %v solves, want 1", snap.Counters["solver_solves_total"])
+		t.Fatalf("Recorder saw %v solves, want 1", snap.Counters["solver_solves_total"])
 	}
 
-	// WithConfig replaces the base configuration wholesale.
-	loose, err := lrd.Solve(q, lrd.SolverConfig{}, lrd.WithConfig(lrd.SolverConfig{RelGap: 0.5}))
+	// A registered model, realized from the queue's reference source: the
+	// fluid identity must be bit-identical to the direct path; a non-fluid
+	// model must solve and stay a plausible bracket.
+	solveAs := func(spec lrd.ModelSpec) (lrd.Result, error) {
+		ts, err := spec.Realize(q.Source)
+		if err != nil {
+			return lrd.Result{}, err
+		}
+		model, err := lrd.NewModelFromSource(ts, q.ServiceRate, q.Buffer)
+		if err != nil {
+			return lrd.Result{}, err
+		}
+		return lrd.SolveModel(model, lrd.SolverConfig{})
+	}
+	viaFluid, err := solveAs(lrd.ModelSpec{Name: "fluid"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loose.Iterations > plain.Iterations {
-		t.Fatalf("WithConfig(RelGap 0.5) took %d iterations, more than the default's %d", loose.Iterations, plain.Iterations)
+	if !sameResult(viaFluid, plain) {
+		t.Fatalf("the realized fluid model is not the identity: %+v vs %+v", viaFluid, plain)
 	}
-
-	// WithModel: the fluid identity must be bit-identical to the direct
-	// path; a non-fluid model must solve and stay a plausible bracket.
-	viaFluid, err := lrd.Solve(q, lrd.SolverConfig{}, lrd.WithModel(lrd.ModelSpec{Name: "fluid"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaFluid.Loss != plain.Loss || viaFluid.Lower != plain.Lower || viaFluid.Upper != plain.Upper {
-		t.Fatalf("WithModel(fluid) is not the identity: %+v vs %+v", viaFluid, plain)
-	}
-	viaMMFQ, err := lrd.Solve(q, lrd.SolverConfig{}, lrd.WithModel(lrd.ModelSpec{Name: "mmfq"}))
+	viaMMFQ, err := solveAs(lrd.ModelSpec{Name: "mmfq"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !(viaMMFQ.Lower <= viaMMFQ.Loss && viaMMFQ.Loss <= viaMMFQ.Upper) {
 		t.Fatalf("mmfq result %v outside its own bounds [%v, %v]", viaMMFQ.Loss, viaMMFQ.Lower, viaMMFQ.Upper)
 	}
-	if _, err := lrd.Solve(q, lrd.SolverConfig{}, lrd.WithModel(lrd.ModelSpec{Name: "nosuch"})); err == nil {
-		t.Fatal("WithModel(nosuch) must surface the registry error")
+	if _, err := solveAs(lrd.ModelSpec{Name: "nosuch"}); err == nil {
+		t.Fatal("realizing an unknown model must surface the registry error")
 	}
 
-	// WithModel is rejected on the Model entry points, which carry no
-	// reference source to realize.
-	model, err := lrd.NewModel(m, lrd.TruncatedPareto{Theta: 0.02, Alpha: 1.2, Cutoff: 10}, 1.25, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lrd.SolveModel(model, lrd.SolverConfig{}, lrd.WithModel(lrd.ModelSpec{})); err == nil {
-		t.Fatal("SolveModel must reject WithModel")
-	}
-
-	// A canceled context degrades gracefully through the options path too.
+	// A canceled context degrades gracefully through the facade too.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := lrd.SolveContext(ctx, q, lrd.SolverConfig{})
@@ -249,4 +243,23 @@ func TestSolveOptions(t *testing.T) {
 	if res.Degraded != lrd.DegradedCanceled {
 		t.Fatalf("canceled solve degraded as %q, want %q", res.Degraded, lrd.DegradedCanceled)
 	}
+}
+
+// sameResult reports whether two results agree bit for bit: bounds, loss,
+// resolution, iteration count and both occupancy vectors.
+func sameResult(a, b lrd.Result) bool {
+	same := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return same([]float64{a.Loss, a.Lower, a.Upper}, []float64{b.Loss, b.Lower, b.Upper}) &&
+		a.Bins == b.Bins && a.Iterations == b.Iterations &&
+		same(a.LowerOccupancy, b.LowerOccupancy) && same(a.UpperOccupancy, b.UpperOccupancy)
 }
