@@ -18,7 +18,7 @@ func TestSharedFlagsMatchCanon(t *testing.T) {
 	}
 	if err := cliflags.CheckUsage(usage,
 		"metrics", "trace", "progress", "pprof",
-		"journal", "resume", "compact-mb", "retries", "retry-backoff",
+		"journal", "resume", "retries", "retry-backoff",
 		"timeout", "point-timeout", "model", "model-params",
 	); err != nil {
 		t.Fatal(err)

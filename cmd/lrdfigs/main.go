@@ -116,14 +116,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ctx = cli.Context(ctx)
 	opts := core.RunOptions{
 		Seed: *seed, Quick: *quick, Model: specs[0],
-		PointTimeout: *pointBudget.PointTimeout,
-		Retry:        retry.Policy(),
+		Retry: retry.Policy(),
 	}
-	if specs[0].Name == "markov" {
-		// The markov experiment's correlation fit takes the same registry
-		// parameters; -model markov -model-params horizon=… configures it.
-		opts.MarkovFit = specs[0].Params
-	}
+	opts.Solver.MaxDuration = *pointBudget.PointTimeout
 	opts.Solver.Recorder = cli.Recorder()
 	fft.SetRecorder(cli.Recorder())
 	if enc := cli.TraceEncoder(); enc != nil {

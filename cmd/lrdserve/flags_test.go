@@ -18,7 +18,7 @@ func TestSharedFlagsMatchCanon(t *testing.T) {
 	}
 	if err := cliflags.CheckUsage(usage,
 		"metrics", "trace", "progress", "pprof",
-		"journal", "resume", "compact-mb", "worker-id", "lease-ttl", "timeout",
+		"journal", "resume", "worker-id", "lease-ttl", "timeout",
 	); err != nil {
 		t.Fatal(err)
 	}

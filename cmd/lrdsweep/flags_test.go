@@ -18,7 +18,7 @@ func TestSharedFlagsMatchCanon(t *testing.T) {
 	}
 	if err := cliflags.CheckUsage(usage,
 		"metrics", "trace", "progress", "pprof",
-		"journal", "resume", "compact-mb", "worker-id", "lease-ttl", "workers",
+		"journal", "resume", "worker-id", "lease-ttl", "workers",
 		"retries", "retry-backoff", "expect-cells", "warm",
 		"timeout", "point-timeout", "model", "model-params",
 		"fleet", "attempts", "hedge-after", "breaker-fails", "breaker-cooldown",

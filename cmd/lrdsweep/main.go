@@ -47,9 +47,8 @@
 // from cold ones in the bounds' low-order digits.
 //
 // Journal maintenance: -compact rewrites the -journal to one record per key
-// (atomic replace) and exits; -compact-mb does the same automatically on
-// -resume when the journal has outgrown a size budget. Neither may run
-// while live workers share the journal.
+// (atomic replace) and exits. It may not run while live workers share the
+// journal.
 //
 // Traffic models: -model selects the registered source model the sweep's
 // cells are realized as (fluid, onoff, markov, mmfq, ams — see internal/source);
@@ -217,10 +216,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ctx = cli.Context(ctx)
 
 	opts := core.RunOptions{
-		Seed: *seed, Quick: *quick, PointTimeout: *pointBudget.PointTimeout,
+		Seed: *seed, Quick: *quick,
 		Retry: retry.Policy(), Workers: *workers,
 		WarmStarts: *warm,
 	}
+	opts.Solver.MaxDuration = *pointBudget.PointTimeout
 	opts.Solver.Recorder = cli.Recorder()
 	fft.SetRecorder(cli.Recorder())
 	if enc := cli.TraceEncoder(); enc != nil {
@@ -270,11 +270,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, spec := range specs {
 		o := opts
 		o.Model = spec
-		if spec.Name == "markov" {
-			// The markov experiment's correlation fit takes the same registry
-			// parameters; -model markov -model-params horizon=… configures it.
-			o.MarkovFit = spec.Params
-		}
 		t, err := e.Run(ctx, o)
 		if len(specs) == 1 {
 			table = t

@@ -57,17 +57,15 @@ func (o *Obs) CLIOptions(name string, progressOut io.Writer) obs.CLIOptions {
 
 // Journal is the shared durability flag group.
 type Journal struct {
-	Path      *string
-	Resume    *bool
-	CompactMB *int64
+	Path   *string
+	Resume *bool
 }
 
-// JournalGroup registers -journal, -resume, and -compact-mb on fs.
+// JournalGroup registers -journal and -resume on fs.
 func JournalGroup(fs *flag.FlagSet) *Journal {
 	return &Journal{
-		Path:      fs.String("journal", "", canon["journal"].Usage),
-		Resume:    fs.Bool("resume", false, canon["resume"].Usage),
-		CompactMB: fs.Int64("compact-mb", 0, canon["compact-mb"].Usage),
+		Path:   fs.String("journal", "", canon["journal"].Usage),
+		Resume: fs.Bool("resume", false, canon["resume"].Usage),
 	}
 }
 
@@ -83,10 +81,9 @@ func (j *Journal) Open(prog string, rec obs.Recorder, warn io.Writer) (*core.Jou
 		return nil, nil
 	}
 	store, err := core.OpenJournalStore(*j.Path, core.JournalStoreOptions{
-		Resume:           *j.Resume,
-		Recorder:         rec,
-		Warn:             warn,
-		CompactOverBytes: *j.CompactMB << 20,
+		Resume:   *j.Resume,
+		Recorder: rec,
+		Warn:     warn,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", prog, err)
@@ -309,7 +306,6 @@ var canon = map[string]FlagSpec{
 	"expect-cells":     {"expect-cells", "", "expected total grid cells, for a true completion percentage in fleet status (0 = unknown)"},
 	"journal":          {"journal", "", "checkpoint every completed cell to this append-only journal"},
 	"resume":           {"resume", "", "replay the -journal and skip its completed cells"},
-	"compact-mb":       {"compact-mb", "", "auto-compact a resumed -journal larger than this many MiB before replaying (0 = never; single-process journals only)"},
 	"workers":          {"workers", "", "cap the in-process sweep worker pool (0 = one per CPU)"},
 	"worker-id":        {"worker-id", "", "join the -journal as this named worker of a distributed fleet (leases cells, adopts peers' results)"},
 	"lease-ttl":        {"lease-ttl", "(default 10s)", "lease duration before an unrenewed cell claim is presumed dead and re-leased"},

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
-	"time"
 
 	"lrd/internal/dist"
 	"lrd/internal/errctl"
@@ -66,12 +65,10 @@ type RunOptions struct {
 	// match the ranges in the paper's §III.
 	Quick bool
 	// Solver overrides the solver configuration (zero value = defaults).
-	// Its MaxIterations field doubles as the per-point iteration budget.
+	// Its MaxIterations and MaxDuration fields are the per-point budgets: a
+	// pathological cell (α→1, ρ→1, huge B) then yields a degraded bracketed
+	// row instead of wedging the whole sweep.
 	Solver solver.Config
-	// PointTimeout is a per-point wall-clock budget. A pathological cell
-	// (α→1, ρ→1, huge B) then yields a degraded bracketed row instead of
-	// wedging the whole sweep. Zero means no per-point budget.
-	PointTimeout time.Duration
 	// Store, when non-nil, journals every completed sweep cell and replays
 	// journaled cells on resume (see JournalStore).
 	Store CellStore
@@ -79,13 +76,9 @@ type RunOptions struct {
 	Retry RetryPolicy
 	// Model selects the registered traffic model (internal/source) every
 	// sweep cell is realized as. The zero spec is the fluid identity — the
-	// paper's model, bit-identical to the pre-registry code path.
+	// paper's model, bit-identical to the pre-registry code path. A markov
+	// spec's parameters also configure the "markov" experiment's fit.
 	Model source.Spec
-	// MarkovFit parameterizes the "markov" experiment's correlation fit
-	// (the registry's markov-model parameters: horizon, components, samples,
-	// iterations). Nil uses the registry defaults — the fit horizon falls
-	// back to the reference source's correlated range.
-	MarkovFit source.Params
 	// Workers caps the in-process sweep worker pool (see
 	// SweepConfig.Workers). Zero means one worker per CPU.
 	Workers int
@@ -97,16 +90,6 @@ type RunOptions struct {
 	WarmStarts bool
 }
 
-// solverConfig returns the effective per-point solver configuration with
-// the RunOptions budgets applied.
-func (o RunOptions) solverConfig() solver.Config {
-	cfg := o.Solver
-	if o.PointTimeout > 0 {
-		cfg.MaxDuration = o.PointTimeout
-	}
-	return cfg
-}
-
 // sweepConfig bundles the solver configuration with the traffic model and
 // the durability layer for one experiment's sweeps. The key prefix carries
 // everything outside the per-cell grid coordinates that determines cell
@@ -114,13 +97,12 @@ func (o RunOptions) solverConfig() solver.Config {
 // model spec (name plus sorted parameters) — so a journal is only ever
 // replayed into the run it belongs to and never across models.
 func (o RunOptions) sweepConfig(id string) SweepConfig {
-	cfg := o.solverConfig()
 	return SweepConfig{
-		Solver:  cfg,
+		Solver:  o.Solver,
 		Model:   o.Model,
 		Store:   o.Store,
 		Retry:   o.Retry,
-		Prefix:  fmt.Sprintf("%s|seed=%d|quick=%t|cfg=%s|model=%s|", id, o.Seed, o.Quick, solver.ConfigHash(cfg), o.Model.Key()),
+		Prefix:  fmt.Sprintf("%s|seed=%d|quick=%t|cfg=%s|model=%s|", id, o.Seed, o.Quick, solver.ConfigHash(o.Solver), o.Model.Key()),
 		Workers: o.Workers,
 		Remote:  o.Remote,
 		// Warm sweeps namespace their own journal keys (see
@@ -524,10 +506,15 @@ func runMarkov(ctx context.Context, o RunOptions) (Table, error) {
 		return Table{}, err
 	}
 	// The Markovian source comes from the model registry, parameterized by
-	// RunOptions.MarkovFit instead of a hardcoded fit call. With no
-	// parameters the fit horizon defaults to the source's full correlated
-	// range (10 s here, ≥ any correlation horizon of these queues).
-	ms, err := source.Build("markov", src, o.MarkovFit)
+	// a markov model spec's parameters (-model markov -model-params
+	// horizon=…). With none the fit horizon defaults to the source's full
+	// correlated range (10 s here, ≥ any correlation horizon of these
+	// queues).
+	var params source.Params
+	if o.Model.Name == "markov" {
+		params = o.Model.Params
+	}
+	ms, err := source.Build("markov", src, params)
 	if err != nil {
 		return Table{}, err
 	}
@@ -551,7 +538,7 @@ func runMarkov(ctx context.Context, o RunOptions) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		orig, err := solver.SolveContext(ctx, q, o.solverConfig())
+		orig, err := solver.SolveContext(ctx, q, o.Solver)
 		if err != nil {
 			return Table{}, err
 		}
@@ -560,7 +547,7 @@ func runMarkov(ctx context.Context, o RunOptions) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		alt, err := solver.SolveModelContext(ctx, mk, o.solverConfig())
+		alt, err := solver.SolveModelContext(ctx, mk, o.Solver)
 		if err != nil {
 			return Table{}, err
 		}
@@ -735,7 +722,7 @@ func runDelay(ctx context.Context, o RunOptions) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		res, err := solver.SolveContext(ctx, q, o.solverConfig())
+		res, err := solver.SolveContext(ctx, q, o.Solver)
 		if err != nil {
 			return Table{}, err
 		}

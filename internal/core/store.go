@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -60,13 +59,6 @@ type JournalStoreOptions struct {
 	// Warn receives human-readable warnings (corrupt journal lines). Nil
 	// silences them.
 	Warn io.Writer
-	// CompactOverBytes, when > 0 and Resume is set, compacts the journal
-	// (journal.Compact: one record per key, atomic rewrite) before replay
-	// if it exceeds this many bytes, bounding the growth of a long-lived
-	// single-process journal. Never enable it for a journal shared by a
-	// live fleet — compaction must not race appenders holding the old
-	// inode open.
-	CompactOverBytes int64
 }
 
 // OpenJournalStore opens (or creates) the cell journal at path. With
@@ -77,22 +69,6 @@ type JournalStoreOptions struct {
 func OpenJournalStore(path string, opts JournalStoreOptions) (*JournalStore, error) {
 	s := &JournalStore{rec: opts.Recorder, cached: map[string]json.RawMessage{}}
 	if opts.Resume {
-		if opts.CompactOverBytes > 0 {
-			if fi, err := os.Stat(path); err == nil && fi.Size() > opts.CompactOverBytes {
-				cs, err := journal.Compact(path)
-				if err != nil {
-					return nil, err
-				}
-				if s.rec != nil {
-					s.rec.Add(obs.MetricCoreJournalCompactions, 1)
-					s.rec.Add(obs.MetricCoreJournalCompactedBytes, float64(cs.Reclaimed()))
-				}
-				if opts.Warn != nil {
-					fmt.Fprintf(opts.Warn, "journal: compacted %s: %d → %d records, %d → %d bytes\n",
-						path, cs.RecordsIn, cs.RecordsOut, cs.BytesBefore, cs.BytesAfter)
-				}
-			}
-		}
 		recs, stats, err := journal.LoadAndQuarantine(path)
 		if err != nil {
 			return nil, err

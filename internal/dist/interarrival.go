@@ -10,24 +10,37 @@ import (
 	"lrd/internal/numerics"
 )
 
-// Interarrival is the contract the queue solver needs from an epoch-length
-// distribution. The paper's procedure "can be used independent of the
-// particular model" (§IV); this interface is that independence. A
-// distribution is a law on [0, ∞) with finite mean, described by:
+// Interarrival is the contract of an epoch-length law: exactly the methods
+// the solver, the horizon and Markovian-fit analyses and the sample-path
+// generator call, so no caller probes a law for more. The paper's procedure
+// "can be used independent of the particular model" (§IV); this interface
+// is that independence. A law is a distribution on [0, ∞) with finite
+// mean, described by:
 //
-//   - CCDF(t)        = Pr{T > t}
-//   - CCDFAtLeast(t) = Pr{T >= t} (differs from CCDF only at atoms)
-//   - IntegralCCDF(a) = ∫_a^∞ Pr{T > t} dt, the partial mean that yields
-//     the closed-form per-state expected loss E[W_l|Q=x]
-//   - Mean()  = E[T] = IntegralCCDF(0)
+//   - CCDFBoth(t) = (Pr{T > t}, Pr{T >= t}), which differ only at atoms
+//   - IntegralCCDFFunc() = a ↦ ∫_a^∞ Pr{T > t} dt, the partial mean that
+//     yields the closed-form per-state expected loss E[W_l|Q=x], with the
+//     law's constants hoisted out of the per-point evaluation
+//   - Mean() = E[T], the partial mean at 0
+//   - SecondMoment() = E[T²] (math.Inf(1) where it diverges)
 //   - Upper() = essential supremum of T (math.Inf(1) if unbounded)
+//   - ResidualCCDF(t) = Pr{τ_res >= t} for the stationary residual life,
+//     which by Eq. (3) is the modulated rate's autocorrelation
+//   - Sample draws T; SampleResidual draws τ_res, a stationary start
+//   - Validate reports whether the parameters define a proper law
+//
+// TruncatedPareto and Hyperexponential keep CCDF, CCDFAtLeast and
+// IntegralCCDF as concrete methods; CCDFBoth and IntegralCCDFFunc are
+// bitwise equal to them.
 type Interarrival interface {
-	CCDF(t float64) float64
-	CCDFAtLeast(t float64) float64
-	IntegralCCDF(a float64) float64
+	CCDFBoth(t float64) (gt, ge float64)
+	IntegralCCDFFunc() func(a float64) float64
 	Mean() float64
+	SecondMoment() float64
 	Upper() float64
+	ResidualCCDF(t float64) float64
 	Sample(rng *rand.Rand) float64
+	SampleResidual(rng *rand.Rand) float64
 	Validate() error
 }
 
@@ -324,7 +337,7 @@ func (h Hyperexponential) String() string {
 	return s + "}"
 }
 
-// Compile-time checks that both laws satisfy the solver contract.
+// Compile-time checks that both laws satisfy the contract.
 var (
 	_ Interarrival = TruncatedPareto{}
 	_ Interarrival = Hyperexponential{}

@@ -13,7 +13,6 @@ package fluid
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"lrd/internal/dist"
@@ -119,59 +118,6 @@ func (s Source) GenerateEpochs(n int, rng *rand.Rand) []Epoch {
 		}
 	}
 	return out
-}
-
-// GenerateBinned samples a stationary path of total duration horizon
-// seconds and integrates it into bins of width binWidth, returning the
-// average rate in each bin (the format of the paper's traces: "each trace
-// element is a rate averaged over a 10 ms interval"). The first epoch's
-// remaining length is drawn from the residual-life law (Eq. 7), so the
-// path starts in the stationary regime rather than at a renewal instant.
-func (s Source) GenerateBinned(horizon, binWidth float64, rng *rand.Rand) ([]float64, error) {
-	if !(horizon > 0) || !(binWidth > 0) {
-		return nil, errors.New("fluid: GenerateBinned requires positive horizon and bin width")
-	}
-	nbins := int(math.Ceil(horizon / binWidth))
-	work := make([]float64, nbins)
-	t := 0.0
-	first := true
-	for t < horizon {
-		var d float64
-		if first {
-			d = s.Interarrival.SampleResidual(rng)
-			first = false
-		} else {
-			d = s.Interarrival.Sample(rng)
-		}
-		if d <= 0 {
-			// Zero-length epochs carry no work; resample defensively.
-			continue
-		}
-		r := s.Marginal.Sample(rng)
-		end := math.Min(t+d, horizon)
-		// Spread r·(segment length) over the covered bins.
-		for seg := t; seg < end; {
-			bin := int(seg / binWidth)
-			if bin >= nbins {
-				break
-			}
-			binEnd := math.Min(float64(bin+1)*binWidth, end)
-			if binEnd <= seg {
-				// Floating-point stall: the computed boundary did not
-				// advance (seg sits exactly on a bin edge whose index
-				// rounded down). Force strict progress; the skipped work
-				// is below one ulp.
-				binEnd = math.Nextafter(seg, math.Inf(1))
-			}
-			work[bin] += r * (binEnd - seg)
-			seg = binEnd
-		}
-		t += d
-	}
-	for i := range work {
-		work[i] /= binWidth
-	}
-	return work, nil
 }
 
 // String summarizes the source parameters.

@@ -185,45 +185,6 @@ func TestGenerateEpochs(t *testing.T) {
 	}
 }
 
-func TestGenerateBinnedConservesWork(t *testing.T) {
-	s := testSource(t)
-	rng := rand.New(rand.NewSource(11))
-	horizon, bin := 200.0, 0.01
-	rates, err := s.GenerateBinned(horizon, bin, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rates) != int(horizon/bin) {
-		t.Fatalf("bins = %d", len(rates))
-	}
-	// Long-run average of the binned path ≈ λ̄ (each bin is fully covered by
-	// epochs, so total work = ∫ X_t dt over the horizon).
-	mean, err := numerics.Mean(rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !numerics.AlmostEqual(mean, s.MeanRate(), 0.1) {
-		t.Fatalf("binned mean %v, want ≈ %v", mean, s.MeanRate())
-	}
-	// Every bin's rate must lie within the marginal's support.
-	for i, r := range rates {
-		if r < s.Marginal.Min()-1e-9 || r > s.Marginal.Max()+1e-9 {
-			t.Fatalf("bin %d rate %v outside [%v, %v]", i, r, s.Marginal.Min(), s.Marginal.Max())
-		}
-	}
-}
-
-func TestGenerateBinnedValidation(t *testing.T) {
-	s := testSource(t)
-	rng := rand.New(rand.NewSource(1))
-	if _, err := s.GenerateBinned(0, 0.01, rng); err == nil {
-		t.Fatal("want error for zero horizon")
-	}
-	if _, err := s.GenerateBinned(1, 0, rng); err == nil {
-		t.Fatal("want error for zero bin width")
-	}
-}
-
 func TestStringDescribes(t *testing.T) {
 	if testSource(t).String() == "" {
 		t.Fatal("String should be non-empty")

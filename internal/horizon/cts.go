@@ -36,11 +36,6 @@ func CriticalTimeScale(m solver.Model, buffer float64, tMax float64) (tStar, exp
 	if !(tMax > 0) || math.IsInf(tMax, 1) {
 		return 0, 0, errors.New("horizon: tMax must be finite and positive")
 	}
-	type residual interface{ ResidualCCDF(float64) float64 }
-	rc, ok := m.Interarrival.(residual)
-	if !ok {
-		return 0, 0, errors.New("horizon: interarrival law does not expose ResidualCCDF")
-	}
 	drift := m.ServiceRate - m.Marginal.Mean()
 	if drift <= 0 {
 		return 0, 0, fmt.Errorf("horizon: utilization %v >= 1", m.Utilization())
@@ -57,11 +52,11 @@ func CriticalTimeScale(m solver.Model, buffer float64, tMax float64) (tStar, exp
 	i0 := make([]float64, steps+1)
 	i1 := make([]float64, steps+1)
 	var a0, a1 numerics.Accumulator
-	prevR := rc.ResidualCCDF(0)
+	prevR := m.Interarrival.ResidualCCDF(0)
 	prevU := 0.0
 	for k := 1; k <= steps; k++ {
 		u := float64(k) * dt
-		r := rc.ResidualCCDF(u)
+		r := m.Interarrival.ResidualCCDF(u)
 		a0.Add(0.5 * (prevR + r) * dt)
 		a1.Add(0.5 * (prevU*prevR + u*r) * dt)
 		i0[k] = a0.Sum()

@@ -38,7 +38,7 @@ func Analytic(m solver.Model, p float64) (float64, error) {
 		return 0, fmt.Errorf("horizon: no-reset probability %v outside (0, 1)", p)
 	}
 	mean := m.Interarrival.Mean()
-	varT := secondMomentOf(m) - mean*mean
+	varT := m.Interarrival.SecondMoment() - mean*mean
 	if math.IsInf(varT, 1) || math.IsNaN(varT) {
 		return 0, errors.New("horizon: interarrival variance is infinite (untruncated heavy tail); Eq. 26 needs a finite cutoff")
 	}
@@ -48,27 +48,6 @@ func Analytic(m solver.Model, p float64) (float64, error) {
 		return 0, errors.New("horizon: degenerate model (zero variance)")
 	}
 	return m.Buffer * mean / (2 * math.Sqrt2 * sigmaT * sigmaL * math.Erfinv(p)), nil
-}
-
-// secondMomentOf computes E[T²] = 2∫₀^∞ t·Pr{T>t} dt from the interarrival
-// law's partial-mean function: integrating IntegralCCDF by parts gives
-// E[T²] = 2∫₀^∞ IntegralCCDF(a) da, evaluated adaptively. Known laws with
-// closed forms short-circuit the quadrature.
-func secondMomentOf(m solver.Model) float64 {
-	type secondMomenter interface{ SecondMoment() float64 }
-	if sm, ok := m.Interarrival.(secondMomenter); ok {
-		return sm.SecondMoment()
-	}
-	upper := m.Interarrival.Upper()
-	if math.IsInf(upper, 1) {
-		// Truncate where the partial mean is negligible.
-		upper = 1.0
-		for m.Interarrival.IntegralCCDF(upper) > 1e-12*m.Interarrival.Mean() && upper < 1e9 {
-			upper *= 2
-		}
-	}
-	f := func(t float64) float64 { return t * m.Interarrival.CCDF(t) }
-	return 2 * numerics.Trapezoid(f, 0, upper, 200000)
 }
 
 // FromCurve locates the empirical correlation horizon on a loss-vs-cutoff

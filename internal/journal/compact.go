@@ -43,8 +43,7 @@ func (s CompactStats) Reclaimed() int64 {
 // Compact must not race live appenders of the same journal: a writer
 // holding the old inode open would keep appending to the unlinked file and
 // lose those records. Compact a fleet journal only when the fleet is
-// quiesced; the single-process auto-compaction path compacts before the
-// journal is reopened for appending.
+// quiesced.
 func Compact(path string) (CompactStats, error) {
 	fi, err := os.Stat(path)
 	if err != nil {

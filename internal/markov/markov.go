@@ -209,11 +209,7 @@ func Interarrival(comps []Component) (dist.Hyperexponential, error) {
 // §IV program made executable: if horizon >= the correlation horizon of
 // (B, c), the Markovian model predicts (nearly) the same loss rate.
 func EquivalentModel(m solver.Model, horizon float64, opts FitOptions) (solver.Model, []Component, error) {
-	base, ok := m.Interarrival.(interface{ ResidualCCDF(float64) float64 })
-	if !ok {
-		return solver.Model{}, nil, errors.New("markov: interarrival law does not expose ResidualCCDF")
-	}
-	comps, err := FitCorrelation(base.ResidualCCDF, horizon, opts)
+	comps, err := FitCorrelation(m.Interarrival.ResidualCCDF, horizon, opts)
 	if err != nil {
 		return solver.Model{}, nil, err
 	}

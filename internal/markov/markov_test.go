@@ -2,7 +2,6 @@ package markov
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"lrd/internal/dist"
@@ -135,25 +134,3 @@ func TestEquivalentModelPredictsSameLoss(t *testing.T) {
 		t.Fatalf("Markovian model loss %v vs original %v (ratio %v)", b.Loss, a.Loss, ratio)
 	}
 }
-
-func TestEquivalentModelRequiresResidual(t *testing.T) {
-	marg := dist.MustMarginal([]float64{0, 2}, []float64{0.5, 0.5})
-	m, err := solver.NewModel(marg, fakeLaw{}, 1.25, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := EquivalentModel(m, 1, FitOptions{}); err == nil {
-		t.Fatal("want error for law without ResidualCCDF")
-	}
-}
-
-// fakeLaw is a minimal Interarrival without ResidualCCDF.
-type fakeLaw struct{}
-
-func (fakeLaw) CCDF(t float64) float64         { return math.Exp(-t) }
-func (fakeLaw) CCDFAtLeast(t float64) float64  { return math.Exp(-t) }
-func (fakeLaw) IntegralCCDF(a float64) float64 { return math.Exp(-a) }
-func (fakeLaw) Mean() float64                  { return 1 }
-func (fakeLaw) Upper() float64                 { return math.Inf(1) }
-func (fakeLaw) Validate() error                { return nil }
-func (fakeLaw) Sample(*rand.Rand) float64      { return 1 }

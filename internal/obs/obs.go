@@ -94,12 +94,9 @@ const (
 	MetricCoreJournalCorruptInterior = "core_journal_corrupt_interior_lines_total"
 	MetricCoreJournalCorruptTrailing = "core_journal_corrupt_trailing_lines_total"
 	// Journal integrity: records whose CRC32C failed (content damage that
-	// still parses), damaged lines preserved in the .quarantine sidecar,
-	// and compaction activity.
-	MetricCoreJournalCrcMismatch    = "core_journal_crc_mismatch_records_total"
-	MetricCoreJournalQuarantined    = "core_journal_quarantined_records_total"
-	MetricCoreJournalCompactions    = "core_journal_compactions_total"
-	MetricCoreJournalCompactedBytes = "core_journal_compacted_bytes_total" // bytes reclaimed by compaction
+	// still parses) and damaged lines preserved in the .quarantine sidecar.
+	MetricCoreJournalCrcMismatch = "core_journal_crc_mismatch_records_total"
+	MetricCoreJournalQuarantined = "core_journal_quarantined_records_total"
 
 	// Distributed sweeps (internal/core.LeaseStore): lease-protocol
 	// accounting for the shared-journal work queue.

@@ -98,7 +98,7 @@ func Aggregate(p SourceParams, n, nbins int, binWidth float64, rng *rand.Rand) (
 					}
 					binEnd := math.Min(float64(bin+1)*binWidth, end)
 					if binEnd <= seg {
-						// Floating-point stall guard; see fluid.GenerateBinned.
+						// Floating-point stall guard; see source.GenerateBinned.
 						binEnd = math.Nextafter(seg, math.Inf(1))
 					}
 					work[bin] += p.PeakRate * (binEnd - seg)

@@ -850,18 +850,7 @@ func (it *Iterator) cdfTables(m int, prevCl, prevCc []float64) (cl, cc []float64
 	cl = it.scratch.getFloat(2*m + 2)
 	cc = it.scratch.getFloat(2*m + 2)
 	reuse := len(prevCl) == m+2 && len(prevCc) == m+2
-	// Both built-in laws evaluate Pr{T > t} and Pr{T >= t} in one CCDFBoth
-	// call, at about the cost of one (the two share their power-law or
-	// exponential-sum evaluation except at atoms); each component is
-	// bitwise equal to the separate CCDF / CCDFAtLeast call another law
-	// falls back to.
-	law := it.model.Interarrival
-	both := func(t float64) (gt, ge float64) { return law.CCDF(t), law.CCDFAtLeast(t) }
-	if fused, ok := law.(interface {
-		CCDFBoth(float64) (float64, float64)
-	}); ok {
-		both = fused.CCDFBoth
-	}
+	both := it.model.Interarrival.CCDFBoth
 	for i := -m; i <= m+1; i++ {
 		idx := i + m
 		if reuse && idx%2 == 0 {
@@ -940,12 +929,7 @@ func (it *Iterator) lossTable(m int, prev []float64) []float64 {
 	out := it.scratch.getFloat(m + 1)
 	d := it.model.Buffer / float64(m)
 	reuse := m%2 == 0 && len(prev) == m/2+1
-	integral := it.model.Interarrival.IntegralCCDF
-	if c, ok := it.model.Interarrival.(integralCCDFCurried); ok {
-		// Hoist the law constants (cutoff tail pow, scale) out of the
-		// m+1-point tabulation; the curried form is bitwise equal.
-		integral = c.IntegralCCDFFunc()
-	}
+	integral := it.model.Interarrival.IntegralCCDFFunc()
 	for j := 0; j <= m; j++ {
 		if reuse && j%2 == 0 {
 			out[j] = prev[j/2]
@@ -956,18 +940,10 @@ func (it *Iterator) lossTable(m int, prev []float64) []float64 {
 	return out
 }
 
-// integralCCDFCurried is the optional law contract behind the hoisted loss
-// tabulation: IntegralCCDFFunc returns IntegralCCDF with per-law constants
-// precomputed, bitwise equal at every point. Both built-in laws implement
-// it.
-type integralCCDFCurried interface {
-	IntegralCCDFFunc() func(a float64) float64
-}
-
 // ExpectedLossGivenOccupancy returns E[W_l | Q = x], the expected work lost
 // in one interarrival interval starting from occupancy x.
 func (it *Iterator) ExpectedLossGivenOccupancy(x float64) float64 {
-	return it.expectedLossGiven(x, it.model.Interarrival.IntegralCCDF)
+	return it.expectedLossGiven(x, it.model.Interarrival.IntegralCCDFFunc())
 }
 
 func (it *Iterator) expectedLossGiven(x float64, integral func(a float64) float64) float64 {

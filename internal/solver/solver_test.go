@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -159,67 +158,27 @@ func TestWorkCDFMonotoneAndBounds(t *testing.T) {
 	}
 }
 
-// paretoNoBoth and hyperNoBoth hide their law's CCDFBoth behind a field of
-// the same name, so cdfTables takes its separate CCDF / CCDFAtLeast path;
-// every other method, SecondMoment and IntegralCCDFFunc included, stays
-// promoted, so nothing else about the solve changes.
-type paretoNoBoth struct {
-	dist.TruncatedPareto
-	CCDFBoth struct{}
-}
-
-type hyperNoBoth struct {
-	dist.Hyperexponential
-	CCDFBoth struct{}
-}
-
-// TestCDFTablesFallbackBitIdentical: a law without CCDFBoth solves to the
-// fused path's exact bits. Rates {0, 2} at c = 1 give drifts of ±1, so
-// with B = 1 and a cutoff of 1/2 the Pareto atom lands on the grid point
-// x = ±1/2 at every rung, where Pr{T > t} and Pr{T >= t} differ; a
-// fallback that swapped them would move these results.
-func TestCDFTablesFallbackBitIdentical(t *testing.T) {
-	hyper, err := dist.NewHyperexponential([]float64{0.5, 0.5}, []float64{0.02, 0.4})
+// TestWorkCDFCutoffAtom: with rates {0, 2} at c = 1 the work increment
+// W = T·(λ−c) inherits the Pareto atom at Tc as atoms of half its mass at
+// ±Tc, so Pr{W <= x} − Pr{W < x} is ½·AtomMass there and 0 at points of
+// continuity. Each drift branch of workCDF must take Pr{T >= t} for one
+// cdf and Pr{T > t} for the other; a swap in either branch moves the atom.
+func TestWorkCDFCutoffAtom(t *testing.T) {
+	law := dist.TruncatedPareto{Theta: 0.05, Alpha: 1.4, Cutoff: 0.5}
+	m, err := NewModel(dist.MustMarginal([]float64{0, 2}, []float64{0.5, 0.5}), law, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	finite := dist.TruncatedPareto{Theta: 0.05, Alpha: 1.4, Cutoff: 0.5}
-	infinite := dist.TruncatedPareto{Theta: 0.05, Alpha: 1.4, Cutoff: math.Inf(1)}
-	laws := []struct {
-		name          string
-		fused, hidden dist.Interarrival
-	}{
-		{"pareto/Tc=0.5", finite, paretoNoBoth{TruncatedPareto: finite}},
-		{"pareto/Tc=inf", infinite, paretoNoBoth{TruncatedPareto: infinite}},
-		{"hyperexponential", hyper, hyperNoBoth{Hyperexponential: hyper}},
+	it, err := NewModelIterator(m, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	type fusedLaw interface {
-		CCDFBoth(float64) (float64, float64)
-	}
-	for _, law := range laws {
-		if _, ok := law.hidden.(fusedLaw); ok {
-			t.Fatalf("%s: the wrapper still exposes CCDFBoth", law.name)
-		}
-		if _, ok := law.hidden.(interface{ SecondMoment() float64 }); !ok {
-			t.Fatalf("%s: the wrapper hides SecondMoment", law.name)
-		}
-		if _, ok := law.hidden.(integralCCDFCurried); !ok {
-			t.Fatalf("%s: the wrapper hides IntegralCCDFFunc", law.name)
-		}
-		for _, util := range []float64{0.5, 0.8, 0.95} {
-			marg := dist.MustMarginal([]float64{0, 2}, []float64{1 - util/2, util / 2})
-			label := fmt.Sprintf("%s/util=%g", law.name, util)
-			var res [2]Result
-			for k, inter := range []dist.Interarrival{law.fused, law.hidden} {
-				m, err := NewModel(marg, inter, 1, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res[k], err = SolveModel(m, Config{}); err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-			}
-			sameBits(t, res[1], res[0], label)
+	for _, c := range []struct{ x, jump float64 }{
+		{-0.5, law.AtomMass() / 2}, {0.5, law.AtomMass() / 2}, {-0.25, 0}, {0.25, 0},
+	} {
+		strict, nonstrict := it.workCDF(c.x, law.CCDFBoth)
+		if got := nonstrict - strict; math.Abs(got-c.jump) > 1e-15 {
+			t.Errorf("x=%v: Pr{W <= x} − Pr{W < x} = %v, want %v", c.x, got, c.jump)
 		}
 	}
 }

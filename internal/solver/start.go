@@ -45,14 +45,10 @@ func coldBins(m Model, cfg Config) int {
 	return bins
 }
 
-// incrementSecondMoment is E[W²] = E[T²]·E[(λ−c)²], or 0 where the epoch
-// law does not expose a finite E[T²] (an infinite cutoff with α <= 2).
+// incrementSecondMoment is E[W²] = E[T²]·E[(λ−c)²], or 0 where E[T²] is
+// infinite (an infinite cutoff with α <= 2).
 func incrementSecondMoment(m Model) float64 {
-	law, ok := m.Interarrival.(interface{ SecondMoment() float64 })
-	if !ok {
-		return 0
-	}
-	t2 := law.SecondMoment()
+	t2 := m.Interarrival.SecondMoment()
 	if !(t2 < math.Inf(1)) {
 		return 0
 	}
@@ -97,7 +93,7 @@ const certTol = 1e-3
 // (Upper() = ∞), the marginal lacks a positive or a negative drift, or
 // θ = certFloor/B does not certify.
 //
-// With J the law's IntegralCCDF and cells 0 = t_0 < … < t_K = Upper(),
+// With J the law's partial mean and cells 0 = t_0 < … < t_K = Upper(),
 // let T̃ be T with its ccdf replaced on each cell by the cell average
 // w_k = (J(t_k) − J(t_{k+1}))/(t_{k+1} − t_k): a law on the cell edges with
 // mass 1 − w_0 at 0, w_{k−1} − w_k at t_k and w_{K−1} at t_K. Integration
@@ -203,9 +199,10 @@ func newThetaBound(m Model, upper float64) *thetaBound {
 	}
 	b.t[thetaCells] = upper
 	b.mass = make([]float64, thetaCells+1)
-	prevJ, prevW := law.IntegralCCDF(0), 1.0
+	integral := law.IntegralCCDFFunc()
+	prevJ, prevW := integral(0), 1.0
 	for k := 0; k < thetaCells; k++ {
-		j := law.IntegralCCDF(b.t[k+1])
+		j := integral(b.t[k+1])
 		w := numerics.Clamp((prevJ-j)/(b.t[k+1]-b.t[k]), 0, prevW)
 		b.mass[k] = prevW - w
 		prevJ, prevW = j, w

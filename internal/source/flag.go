@@ -3,7 +3,6 @@ package source
 import (
 	"flag"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -24,25 +23,6 @@ func ModelFlags(fs *flag.FlagSet) func() ([]Spec, error) {
 	return func() ([]Spec, error) {
 		return ParseSpecs(*model, *params)
 	}
-}
-
-// ModelHelp returns a multi-line description of every registered model and
-// its parameters, for CLI usage text and docs.
-func ModelHelp() string {
-	var b strings.Builder
-	for _, name := range Names() {
-		m, _ := Lookup(name)
-		fmt.Fprintf(&b, "  %-8s %s\n", name, m.Doc)
-		keys := make([]string, 0, len(m.ParamDoc))
-		for k := range m.ParamDoc {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "           %s: %s\n", k, m.ParamDoc[k])
-		}
-	}
-	return b.String()
 }
 
 // ParseMarginal parses an inline "rate:prob,rate:prob,…" marginal (the

@@ -49,7 +49,7 @@ type Source interface {
 	// (math.Inf(1) for the fully correlated case).
 	Cutoff() float64
 	// Autocorrelation returns the normalized rate autocorrelation r(t) of
-	// the model itself (NaN when the law does not expose one).
+	// the model itself: its epoch law's residual-life ccdf (Eq. 3).
 	Autocorrelation(t float64) float64
 	// String summarizes the model and its parameters.
 	String() string
@@ -71,18 +71,6 @@ type FitQuality interface {
 // giving a cross-check oracle for the bounded solver.
 type OverflowOracle interface {
 	ExactOverflow(serviceRate, buffer float64) (float64, error)
-}
-
-// residualCorrelated is the shape shared by laws whose residual-life ccdf
-// is the modulated rate's autocorrelation (Eq. 3 of the paper).
-type residualCorrelated interface {
-	ResidualCCDF(t float64) float64
-}
-
-// residualSampler is implemented by laws that can sample from their
-// stationary residual-life distribution (for stationary-start sampling).
-type residualSampler interface {
-	SampleResidual(rng *rand.Rand) float64
 }
 
 // Fluid wraps the paper's cutoff-correlated fluid source (the reference
@@ -114,53 +102,46 @@ type generic struct {
 	hurst, cutoff float64
 }
 
-func (g generic) Marginal() dist.Marginal         { return g.marg }
-func (g generic) Interarrival() dist.Interarrival { return g.iv }
-func (g generic) MeanRate() float64               { return g.marg.Mean() }
-func (g generic) Hurst() float64                  { return g.hurst }
-func (g generic) Cutoff() float64                 { return g.cutoff }
-func (g generic) String() string                  { return g.name }
-
-func (g generic) Autocorrelation(t float64) float64 {
-	if r, ok := g.iv.(residualCorrelated); ok {
-		return r.ResidualCCDF(t)
-	}
-	return math.NaN()
-}
+func (g generic) Marginal() dist.Marginal           { return g.marg }
+func (g generic) Interarrival() dist.Interarrival   { return g.iv }
+func (g generic) MeanRate() float64                 { return g.marg.Mean() }
+func (g generic) Hurst() float64                    { return g.hurst }
+func (g generic) Cutoff() float64                   { return g.cutoff }
+func (g generic) Autocorrelation(t float64) float64 { return g.iv.ResidualCCDF(t) }
+func (g generic) String() string                    { return g.name }
 
 // GenerateBinned samples a stationary path of the source over horizon
 // seconds and integrates it into bins of width binWidth, returning the
-// average rate per bin — the trace format of the paper's §III, for any
-// registered model. The first epoch is drawn from the residual-life law
-// when the interarrival exposes one (stationary start); otherwise the path
-// starts at a renewal instant.
+// average rate per bin — the trace format of the paper's §III ("each trace
+// element is a rate averaged over a 10 ms interval"), for any registered
+// model. The first epoch's remaining length is drawn from the residual-life
+// law (Eq. 7), so the path starts in the stationary regime rather than at a
+// renewal instant.
 func GenerateBinned(s Source, horizon, binWidth float64, rng *rand.Rand) ([]float64, error) {
-	if f, ok := s.(Fluid); ok {
-		return f.Src.GenerateBinned(horizon, binWidth, rng)
-	}
 	if !(horizon > 0) || !(binWidth > 0) {
 		return nil, errors.New("source: GenerateBinned requires positive horizon and bin width")
 	}
 	iv := s.Interarrival()
 	marg := s.Marginal()
-	res, stationary := iv.(residualSampler)
 	nbins := int(math.Ceil(horizon / binWidth))
 	work := make([]float64, nbins)
 	t := 0.0
 	first := true
 	for t < horizon {
 		var d float64
-		if first && stationary {
-			d = res.SampleResidual(rng)
+		if first {
+			d = iv.SampleResidual(rng)
+			first = false
 		} else {
 			d = iv.Sample(rng)
 		}
-		first = false
 		if d <= 0 {
-			continue // zero-length epochs carry no work; resample defensively
+			// Zero-length epochs carry no work; resample defensively.
+			continue
 		}
 		r := marg.Sample(rng)
 		end := math.Min(t+d, horizon)
+		// Spread r·(segment length) over the covered bins.
 		for seg := t; seg < end; {
 			bin := int(seg / binWidth)
 			if bin >= nbins {
@@ -168,7 +149,10 @@ func GenerateBinned(s Source, horizon, binWidth float64, rng *rand.Rand) ([]floa
 			}
 			binEnd := math.Min(float64(bin+1)*binWidth, end)
 			if binEnd <= seg {
-				// Floating-point stall guard; see fluid.GenerateBinned.
+				// Floating-point stall: the computed boundary did not
+				// advance (seg sits exactly on a bin edge whose index
+				// rounded down). Force strict progress; the skipped work
+				// is below one ulp.
 				binEnd = math.Nextafter(seg, math.Inf(1))
 			}
 			work[bin] += r * (binEnd - seg)

@@ -1,7 +1,10 @@
 package source_test
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"strings"
@@ -9,6 +12,7 @@ import (
 
 	"lrd/internal/dist"
 	"lrd/internal/fluid"
+	"lrd/internal/numerics"
 	"lrd/internal/solver"
 	"lrd/internal/source"
 )
@@ -255,6 +259,80 @@ func TestGenerateBinnedStationary(t *testing.T) {
 	mean := sum / float64(len(rates))
 	if math.Abs(mean-ref.MeanRate()) > 0.05 {
 		t.Fatalf("sampled mean rate %g, want %g ± 0.05", mean, ref.MeanRate())
+	}
+}
+
+// sampleRef is the fluid source the sampler tests draw paths from.
+func sampleRef(t *testing.T) fluid.Source {
+	t.Helper()
+	m := dist.MustMarginal([]float64{2, 8, 16}, []float64{0.3, 0.5, 0.2})
+	src, err := fluid.New(m, dist.TruncatedPareto{Theta: 0.016, Alpha: 1.2, Cutoff: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
+func TestGenerateBinnedConservesWork(t *testing.T) {
+	s := sampleRef(t)
+	rng := rand.New(rand.NewSource(11))
+	horizon, bin := 200.0, 0.01
+	rates, err := source.GenerateBinned(source.NewFluid(s), horizon, bin, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rates) != int(horizon/bin) {
+		t.Fatalf("bins = %d", len(rates))
+	}
+	// Long-run average of the binned path ≈ λ̄ (each bin is fully covered by
+	// epochs, so total work = ∫ X_t dt over the horizon).
+	mean, err := numerics.Mean(rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !numerics.AlmostEqual(mean, s.MeanRate(), 0.1) {
+		t.Fatalf("binned mean %v, want ≈ %v", mean, s.MeanRate())
+	}
+	// Every bin's rate must lie within the marginal's support.
+	for i, r := range rates {
+		if r < s.Marginal.Min()-1e-9 || r > s.Marginal.Max()+1e-9 {
+			t.Fatalf("bin %d rate %v outside [%v, %v]", i, r, s.Marginal.Min(), s.Marginal.Max())
+		}
+	}
+}
+
+// TestGenerateBinnedGolden pins the sampler's exact output for every
+// registry model built from one fluid source: FNV-64a over the
+// little-endian float64 bits of a 200 s path in 10 ms bins at seed 11. A
+// mismatch means a sample path changed — its draws, their order, the
+// stationary first epoch or the bin integration.
+func TestGenerateBinnedGolden(t *testing.T) {
+	want := map[string]string{
+		"fluid":  "b38ff5824862669b",
+		"onoff":  "535007e7d3f8d32c",
+		"markov": "ef0d7fff76b7fde5",
+		"mmfq":   "69c14663b2352660",
+		"ams":    "a35bb2503f5e4487",
+	}
+	ref := sampleRef(t)
+	for _, name := range []string{"fluid", "onoff", "markov", "mmfq", "ams"} {
+		s, err := source.Build(name, ref, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rates, err := source.GenerateBinned(s, 200, 0.01, rand.New(rand.NewSource(11)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		h := fnv.New64a()
+		var b [8]byte
+		for _, r := range rates {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(r))
+			h.Write(b[:])
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != want[name] {
+			t.Errorf("%s: %d bins hash to %s, want %s", name, len(rates), got, want[name])
+		}
 	}
 }
 

@@ -94,7 +94,9 @@ type (
 	TruncatedPareto = dist.TruncatedPareto
 	// Hyperexponential is a Markovian (phase-type) interarrival law.
 	Hyperexponential = dist.Hyperexponential
-	// Interarrival is the solver's epoch-length contract.
+	// Interarrival is the epoch-length contract every layer calls a law
+	// through: CCDFBoth, IntegralCCDFFunc, Mean, SecondMoment, Upper,
+	// ResidualCCDF, Sample, SampleResidual and Validate, nothing else.
 	Interarrival = dist.Interarrival
 	// Source is the cutoff-correlated fluid traffic source.
 	Source = fluid.Source
