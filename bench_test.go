@@ -1,10 +1,11 @@
 package lrd_test
 
 // The benchmark harness regenerates, per iteration, the data behind every
-// figure of the paper's evaluation (quick grids; run cmd/lrdfigs for the
-// full paper-scale grids). Each benchmark reports rows/op — the number of
-// table rows the experiment produced — so a bench run doubles as an
-// end-to-end smoke test of the entire reproduction pipeline:
+// figure of the paper's evaluation (quick grids; run lrdsweep over every
+// -list id for the full paper-scale grids). Each benchmark reports
+// rows/op — the number of table rows the experiment produced — so a bench
+// run doubles as an end-to-end smoke test of the entire reproduction
+// pipeline:
 //
 //	go test -bench=. -benchmem
 //

@@ -12,7 +12,6 @@
 //	                         snapshot)
 //	GET  /v1/status        — journal-derived fleet status JSON (requires
 //	                         -journal)
-//	GET  /v1/status/stream — the same status as a Server-Sent-Events stream
 //	GET  /healthz          — liveness probe
 //	GET  /readyz           — readiness probe: 503 until the cache warm-load
 //	                         completes and during graceful drain, 200 between
@@ -140,8 +139,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cfg.Solver.Trace = func(p solver.TracePoint) { enc(p) }
 	}
 	if *jflags.Path != "" {
-		// The journal doubles as the fleet-status source: /v1/status and the
-		// SSE stream fold it into per-worker progress.
+		// The journal doubles as the fleet-status source: /v1/status folds
+		// it into per-worker progress.
 		cfg.Status = fleetstatus.New(*jflags.Path, fleetstatus.Options{})
 	}
 	// Fleet mode (-worker-id) shares the journal through the lease store,

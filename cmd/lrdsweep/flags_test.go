@@ -18,9 +18,8 @@ func TestSharedFlagsMatchCanon(t *testing.T) {
 	}
 	if err := cliflags.CheckUsage(usage,
 		"metrics", "trace", "progress", "pprof",
-		"journal", "resume", "worker-id", "lease-ttl", "workers",
-		"retries", "retry-backoff", "expect-cells", "warm",
-		"timeout", "point-timeout", "model", "model-params",
+		"journal", "resume", "worker-id", "lease-ttl",
+		"timeout", "model", "model-params",
 		"fleet", "attempts", "hedge-after", "breaker-fails", "breaker-cooldown",
 	); err != nil {
 		t.Fatal(err)

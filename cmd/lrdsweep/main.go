@@ -64,11 +64,15 @@
 // prints a periodic status line to stderr, and -pprof serves
 // net/http/pprof, expvar, and a Prometheus /metrics exposition.
 //
-// Fleet inspection: -status folds the shared -journal into a per-worker
-// table (cells claimed/completed, leases stolen/released/renewed, live
-// lease TTLs, straggler flags, completion %) and exits without joining
-// the sweep; -expect-cells supplies the grid size for a true completion
-// percentage. lrdtop is the continuously refreshing version.
+// Fleet inspection is lrdtop's job: it folds the shared -journal into the
+// per-worker status table (`lrdtop -once` prints it once).
+//
+// Every figure: one run per -list id, sharing one journal so an
+// interrupted batch resumes where it stopped (add -quick for a fast pass):
+//
+//	mkdir -p results && for id in $(lrdsweep -list | cut -d' ' -f1); do
+//	  lrdsweep -exp "$id" -journal results/figs.journal -resume -out "results/$id.tsv"
+//	done
 //
 // Example:
 //
@@ -95,11 +99,11 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"time"
 
 	"lrd/internal/cliflags"
 	"lrd/internal/core"
 	"lrd/internal/fft"
-	"lrd/internal/fleetstatus"
 	"lrd/internal/journal"
 	"lrd/internal/obs"
 	"lrd/internal/solver"
@@ -120,18 +124,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		quick   = fs.Bool("quick", false, "use shrunken grids for a fast run")
 		list    = fs.Bool("list", false, "list experiment ids and exit")
 		out     = fs.String("out", "", "write the TSV atomically to this file instead of stdout")
-		status  = fs.Bool("status", false, "print the journal-derived fleet status table and exit (requires -journal)")
 		compact = fs.Bool("compact", false, "compact the -journal to one record per key and exit (no live workers may share it)")
+
+		pointTimeout = fs.Duration("point-timeout", 0, "wall-clock budget per solver cell (0 = none)")
+		retries      = fs.Int("retries", 1, "attempts per cell for transiently failed/degraded cells")
+		retryBackoff = fs.Duration("retry-backoff", 100*time.Millisecond, "base backoff between per-cell retry attempts")
+		warm         = fs.Bool("warm", false, "chain cross-cell warm starts along the buffer axis (bounds stay valid but differ bitwise from cold solves, so journals are namespaced)")
+		workers      = fs.Int("workers", 0, "cap the in-process sweep worker pool (0 = one per CPU)")
 	)
 	budget := cliflags.BudgetGroup(fs)
-	pointBudget := cliflags.PointBudgetGroup(fs)
 	jflags := cliflags.JournalGroup(fs)
 	lease := cliflags.LeaseGroup(fs)
-	workers := cliflags.WorkersFlag(fs)
-	warm := cliflags.WarmFlag(fs)
-	retry := cliflags.RetryGroup(fs)
 	oflags := cliflags.ObsGroup(fs)
-	sflags := cliflags.StatusGroup(fs)
 	modelSpecs := cliflags.ModelGroup(fs)
 	fleet := cliflags.FleetGroup(fs)
 	if err := fs.Parse(args); err != nil {
@@ -153,25 +157,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer cli.Close()
 	logger := obs.NewLogger(stderr, "lrdsweep", cli.Trace())
 	warn := obs.NewLogWriter(logger, slog.LevelWarn)
-
-	if *status {
-		// One-shot fleet inspection: fold the shared journal and print the
-		// per-worker table without joining the sweep (see also lrdtop).
-		if *jflags.Path == "" {
-			logger.Error("lrdsweep: -status requires -journal")
-			return 1
-		}
-		st, err := fleetstatus.New(*jflags.Path, sflags.Options()).Status()
-		if err != nil {
-			logger.Error(fmt.Sprintf("lrdsweep: %v", err))
-			return 1
-		}
-		if err := st.WriteText(stdout); err != nil {
-			logger.Error(fmt.Sprintf("lrdsweep: %v", err))
-			return 1
-		}
-		return 0
-	}
 
 	if *compact {
 		// One-shot maintenance: rewrite the journal to one record per key
@@ -217,10 +202,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	opts := core.RunOptions{
 		Seed: *seed, Quick: *quick,
-		Retry: retry.Policy(), Workers: *workers,
-		WarmStarts: *warm,
+		Retry:   core.RetryPolicy{MaxAttempts: *retries, Backoff: *retryBackoff},
+		Workers: *workers, WarmStarts: *warm,
 	}
-	opts.Solver.MaxDuration = *pointBudget.PointTimeout
+	opts.Solver.MaxDuration = *pointTimeout
 	opts.Solver.Recorder = cli.Recorder()
 	fft.SetRecorder(cli.Recorder())
 	if enc := cli.TraceEncoder(); enc != nil {

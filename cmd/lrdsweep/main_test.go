@@ -8,9 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
-	"lrd/internal/journal"
 	"lrd/internal/obs"
 )
 
@@ -59,56 +57,6 @@ func TestRunResumeRequiresJournal(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "-resume requires -journal") {
 		t.Fatalf("stderr = %q", stderr)
-	}
-}
-
-func TestStatusRequiresJournal(t *testing.T) {
-	code, _, stderr := runCapture("-status")
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1", code)
-	}
-	if !strings.Contains(stderr, "-status requires -journal") {
-		t.Fatalf("stderr = %q", stderr)
-	}
-}
-
-// TestStatusTable: -status folds a shared journal into the per-worker
-// fleet table — completions, an expired (straggler) lease, and the
-// completion percentage against -expect-cells.
-func TestStatusTable(t *testing.T) {
-	jpath := filepath.Join(t.TempDir(), "shared.journal")
-	w, err := journal.Open(jpath, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Now()
-	for _, rec := range []journal.Record{
-		{Key: "m|a", Status: journal.StatusClaimed, Worker: "w1", Epoch: 1, Deadline: now.Add(time.Hour).UnixNano()},
-		{Key: "m|a", Status: journal.StatusOK, Worker: "w1", Epoch: 1, Value: []byte(`{}`)},
-		{Key: "m|b", Status: journal.StatusClaimed, Worker: "w2", Epoch: 1, Deadline: now.Add(-time.Minute).UnixNano()},
-	} {
-		if _, err := w.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	code, stdout, stderr := runCapture("-status", "-journal", jpath, "-expect-cells", "3")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr)
-	}
-	for _, want := range []string{
-		"1 completed, 1 in flight, 3 expected",
-		"(33.3% complete)",
-		"1 straggler(s)",
-		"STRAGGLER",
-		"w1", "w2",
-	} {
-		if !strings.Contains(stdout, want) {
-			t.Fatalf("status output missing %q:\n%s", want, stdout)
-		}
 	}
 }
 
@@ -235,6 +183,63 @@ func TestRunInterruptAndResume(t *testing.T) {
 	for _, e := range entries {
 		if strings.Contains(e.Name(), ".tmp-") {
 			t.Fatalf("atomic write left temp file %q", e.Name())
+		}
+	}
+}
+
+// TestSharedJournalAcrossExperiments is the every-figure loop in small: two
+// experiments written to their own -out files through one -journal
+// -resume that does not exist yet, then both again. The second pass
+// replays the shared journal, and all four TSVs equal journal-less runs.
+func TestSharedJournalAcrossExperiments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real (quick) sweeps")
+	}
+	dir := t.TempDir()
+	ids := []string{"fig4", "fig9"}
+	clean := map[string][]byte{}
+	for _, id := range ids {
+		path := filepath.Join(dir, id+".clean.tsv")
+		if code, _, stderr := runCapture("-exp", id, "-quick", "-seed", "3", "-out", path); code != 0 {
+			t.Fatalf("%s clean run: exit %d, stderr: %s", id, code, stderr)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean[id] = raw
+	}
+
+	jpath := filepath.Join(dir, "figs.journal")
+	for pass := 1; pass <= 2; pass++ {
+		for _, id := range ids {
+			out := filepath.Join(dir, id+".pass"+strconv.Itoa(pass)+".tsv")
+			metricsPath := filepath.Join(dir, id+".pass"+strconv.Itoa(pass)+".json")
+			code, _, stderr := runCapture("-exp", id, "-quick", "-seed", "3",
+				"-journal", jpath, "-resume", "-metrics", metricsPath, "-out", out)
+			if code != 0 {
+				t.Fatalf("%s pass %d: exit %d, stderr: %s", id, pass, code, stderr)
+			}
+			if pass == 2 {
+				if !strings.Contains(stderr, "resuming") {
+					t.Fatalf("%s pass 2 did not resume from the shared journal: %q", id, stderr)
+				}
+				// Every cell of the second pass comes from the journal: one
+				// per TSV line after the title and the header.
+				var snap struct {
+					Counters map[string]float64 `json:"counters"`
+				}
+				if raw, err := os.ReadFile(metricsPath); err != nil || json.Unmarshal(raw, &snap) != nil {
+					t.Fatalf("reading %s: %v", metricsPath, err)
+				}
+				cells := len(strings.Split(strings.TrimSpace(string(clean[id])), "\n")) - 2
+				if got := snap.Counters[obs.MetricCoreCellsResumed]; got != float64(cells) {
+					t.Fatalf("%s pass 2: %s = %v, want %d", id, obs.MetricCoreCellsResumed, got, cells)
+				}
+			}
+			if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, clean[id]) {
+				t.Fatalf("%s pass %d: TSV differs from the journal-less run (%v):\n%s", id, pass, err, got)
+			}
 		}
 	}
 }

@@ -7,9 +7,9 @@
 // cooperation from the workers — the lease protocol already records
 // every claim, renewal, release, and completion as a journal line.
 //
-// -once prints a single snapshot and exits (the same table as
-// `lrdsweep -status`); otherwise lrdtop refreshes every -interval until
-// interrupted, or until the sweep completes when -expect-cells is given.
+// -once prints a single snapshot and exits (for scripts and cron);
+// otherwise lrdtop refreshes every -interval until interrupted, or until
+// the sweep completes when -expect-cells is given.
 //
 // Example — watch a 4-worker fig4 fleet:
 //
@@ -25,7 +25,6 @@ import (
 	"os/signal"
 	"time"
 
-	"lrd/internal/cliflags"
 	"lrd/internal/fleetstatus"
 	"lrd/internal/obs"
 )
@@ -46,8 +45,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		jpath    = fs.String("journal", "", "the fleet's shared work journal to watch (required)")
 		interval = fs.Duration("interval", 2*time.Second, "refresh interval between status tables")
 		once     = fs.Bool("once", false, "print one status table and exit")
+		expect   = fs.Int("expect-cells", 0, "expected total grid cells, for a true completion percentage in fleet status (0 = unknown)")
 	)
-	sflags := cliflags.StatusGroup(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -59,7 +58,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	// One Aggregator across refreshes: each tick folds only the journal
 	// bytes appended since the previous one.
-	agg := fleetstatus.New(*jpath, sflags.Options())
+	agg := fleetstatus.New(*jpath, fleetstatus.Options{ExpectedCells: *expect})
 	render := func() (fleetstatus.Status, bool) {
 		st, err := agg.Status()
 		if err != nil {

@@ -91,7 +91,7 @@ func main() {
 			(math.Log(chBuffers[len(chBuffers)-1]) - math.Log(chBuffers[0]))
 		fmt.Printf("\nhorizon-vs-buffer log-log slope: %.2f (Fig. 14: ≈ 1, linear scaling)\n", slope)
 		fmt.Println("(individual horizons are quantized to the cutoff grid; run")
-		fmt.Println("cmd/lrdfigs -only fig14 for the trace-driven shuffle version)")
+		fmt.Println("lrdsweep -exp fig14 for the trace-driven shuffle version)")
 	}
 	fmt.Println("\nModeling consequence: any model that captures the correlation up")
 	fmt.Println("to the horizon of the (B, c) system predicts its loss correctly —")

@@ -1,12 +1,14 @@
-// Package cliflags is the single definition of the flag groups the lrd
-// commands share. Before it existed, every binary hand-duplicated the
-// observability flags (-metrics/-trace/-progress/-pprof), the durability
-// flags (-journal/-resume/-retries/-retry-backoff), the budget flags
-// (-timeout/-point-timeout), and the model flags (-model/-model-params),
-// and the copies drifted. Each group is now registered by one function, so
-// a flag's name, default, and help text are identical in every binary that
-// offers it — and the Canon table plus CheckUsage let each command's tests
-// assert exactly that against the binary's own -h output.
+// Package cliflags is the single definition of the flag groups that two or
+// more lrd commands share: the observability flags
+// (-metrics/-trace/-progress/-pprof), the whole-run budget (-timeout), the
+// journal pair (-journal/-resume), the lease pair (-worker-id/-lease-ttl),
+// the remote-fleet client flags (-fleet/-attempts/-hedge-after/
+// -breaker-fails/-breaker-cooldown), and the model pair
+// (-model/-model-params). Each group is registered by one function, so a
+// flag's name, default, and help text are identical in every binary that
+// offers it — and the canon table plus CheckUsage let each command's tests
+// assert exactly that against the binary's own -h output. A flag with one
+// user lives in that command.
 package cliflags
 
 import (
@@ -18,7 +20,6 @@ import (
 	"time"
 
 	"lrd/internal/core"
-	"lrd/internal/fleetstatus"
 	"lrd/internal/obs"
 	"lrd/internal/resilient"
 	"lrd/internal/source"
@@ -110,14 +111,6 @@ func LeaseGroup(fs *flag.FlagSet) *Lease {
 	}
 }
 
-// WorkersFlag registers the shared -workers pool-cap flag on fs. It is
-// separate from LeaseGroup because the sweep commands want it even for
-// single-process runs (and the serve command, which has -max-inflight,
-// does not want it at all).
-func WorkersFlag(fs *flag.FlagSet) *int {
-	return fs.Int("workers", 0, canon["workers"].Usage)
-}
-
 // Open validates the group and opens the shared lease store: nil when no
 // -worker-id was given (the run is not distributed), an error for
 // -worker-id without -journal. The journal is always opened in resume
@@ -203,49 +196,6 @@ func (f *Fleet) Client(prog string, rec obs.Recorder) (*resilient.Client, error)
 	return c, nil
 }
 
-// StatusFlags is the shared fleet-status flag group (lrdsweep -status and
-// lrdtop): -expect-cells supplies the grid size the journal alone cannot
-// know, so the status table can show a true completion percentage.
-type StatusFlags struct {
-	ExpectCells *int
-}
-
-// StatusGroup registers -expect-cells on fs.
-func StatusGroup(fs *flag.FlagSet) *StatusFlags {
-	return &StatusFlags{ExpectCells: fs.Int("expect-cells", 0, canon["expect-cells"].Usage)}
-}
-
-// Options returns the parsed group as fleetstatus Options.
-func (s *StatusFlags) Options() fleetstatus.Options {
-	return fleetstatus.Options{ExpectedCells: *s.ExpectCells}
-}
-
-// WarmFlag registers -warm on fs: chain cross-cell warm starts along the
-// buffer axis where a sweep supports it (valid bounds, but not
-// bit-identical to cold solves — see core.SweepConfig).
-func WarmFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("warm", false, canon["warm"].Usage)
-}
-
-// Retry is the shared per-cell retry flag group.
-type Retry struct {
-	Retries *int
-	Backoff *time.Duration
-}
-
-// RetryGroup registers -retries and -retry-backoff on fs.
-func RetryGroup(fs *flag.FlagSet) *Retry {
-	return &Retry{
-		Retries: fs.Int("retries", 1, canon["retries"].Usage),
-		Backoff: fs.Duration("retry-backoff", 100*time.Millisecond, canon["retry-backoff"].Usage),
-	}
-}
-
-// Policy returns the parsed group as a core.RetryPolicy.
-func (r *Retry) Policy() core.RetryPolicy {
-	return core.RetryPolicy{MaxAttempts: *r.Retries, Backoff: *r.Backoff}
-}
-
 // Budget is the shared whole-run budget flag (-timeout).
 type Budget struct {
 	Timeout *time.Duration
@@ -263,17 +213,6 @@ func (b *Budget) Context(parent context.Context) (context.Context, context.Cance
 		return context.WithTimeout(parent, *b.Timeout)
 	}
 	return context.WithCancel(parent)
-}
-
-// PointBudget is the shared per-cell budget flag (-point-timeout), for the
-// sweep commands whose cells solve independently.
-type PointBudget struct {
-	PointTimeout *time.Duration
-}
-
-// PointBudgetGroup registers -point-timeout on fs.
-func PointBudgetGroup(fs *flag.FlagSet) *PointBudget {
-	return &PointBudget{PointTimeout: fs.Duration("point-timeout", 0, canon["point-timeout"].Usage)}
 }
 
 // ModelGroup registers the shared -model/-model-params pair on fs and
@@ -303,19 +242,13 @@ var canon = map[string]FlagSpec{
 	"trace":            {"trace", "", "write solver convergence points and trace spans to this file as JSONL"},
 	"progress":         {"progress", "", "print a periodic progress line to stderr"},
 	"pprof":            {"pprof", "", "serve net/http/pprof, expvar, and Prometheus /metrics on this address (e.g. localhost:6060)"},
-	"expect-cells":     {"expect-cells", "", "expected total grid cells, for a true completion percentage in fleet status (0 = unknown)"},
 	"journal":          {"journal", "", "checkpoint every completed cell to this append-only journal"},
 	"resume":           {"resume", "", "replay the -journal and skip its completed cells"},
-	"workers":          {"workers", "", "cap the in-process sweep worker pool (0 = one per CPU)"},
 	"worker-id":        {"worker-id", "", "join the -journal as this named worker of a distributed fleet (leases cells, adopts peers' results)"},
 	"lease-ttl":        {"lease-ttl", "(default 10s)", "lease duration before an unrenewed cell claim is presumed dead and re-leased"},
-	"retries":          {"retries", "(default 1)", "attempts per cell for transiently failed/degraded cells"},
-	"retry-backoff":    {"retry-backoff", "(default 100ms)", "base backoff between per-cell retry attempts"},
 	"timeout":          {"timeout", "", "wall-clock budget for the whole run (0 = none)"},
-	"point-timeout":    {"point-timeout", "", "wall-clock budget per solver cell (0 = none)"},
 	"model":            {"model", `(default "fluid")`, ""}, // usage is registry-derived; checked by name+default only
 	"model-params":     {"model-params", "", "model parameters as key=value,… applied to every -model entry"},
-	"warm":             {"warm", "", "chain cross-cell warm starts along the buffer axis (bounds stay valid but differ bitwise from cold solves, so journals are namespaced)"},
 	"fleet":            {"fleet", "", "offload solves to these lrdserve replicas (comma-separated base URLs) via the resilient fleet client"},
 	"attempts":         {"attempts", "(default 4)", "total tries per fleet request, first attempt included"},
 	"hedge-after":      {"hedge-after", "", "duplicate a slow fleet request to a second replica after this delay (0 = no hedging)"},

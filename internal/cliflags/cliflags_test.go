@@ -13,18 +13,15 @@ import (
 
 // newFlagSet registers every shared group on one FlagSet and returns it
 // with its captured usage output.
-func newFlagSet() (*flag.FlagSet, *Obs, *Journal, *Retry, *Budget, *PointBudget, *bytes.Buffer) {
+func newFlagSet() (*flag.FlagSet, *Obs, *Journal, *Budget, *bytes.Buffer) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	var buf bytes.Buffer
 	fs.SetOutput(&buf)
 	o := ObsGroup(fs)
 	j := JournalGroup(fs)
-	r := RetryGroup(fs)
 	b := BudgetGroup(fs)
-	p := PointBudgetGroup(fs)
-	WarmFlag(fs)
 	ModelGroup(fs)
-	return fs, o, j, r, b, p, &buf
+	return fs, o, j, b, &buf
 }
 
 // TestCanonMatchesRegistrations is the self-test of the drift check: the
@@ -33,13 +30,12 @@ func newFlagSet() (*flag.FlagSet, *Obs, *Journal, *Retry, *Budget, *PointBudget,
 // the canon table ever disagree, this fails here — before any per-binary
 // test runs.
 func TestCanonMatchesRegistrations(t *testing.T) {
-	fs, _, _, _, _, _, buf := newFlagSet()
+	fs, _, _, _, buf := newFlagSet()
 	fs.PrintDefaults()
 	if err := CheckUsage(buf.String(),
 		"metrics", "trace", "progress", "pprof",
-		"journal", "resume", "retries", "retry-backoff",
-		"timeout", "point-timeout", "model", "model-params",
-		"warm",
+		"journal", "resume",
+		"timeout", "model", "model-params",
 	); err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +45,13 @@ func TestCheckUsageDetectsDrift(t *testing.T) {
 	fs := flag.NewFlagSet("drift", flag.ContinueOnError)
 	var buf bytes.Buffer
 	fs.SetOutput(&buf)
-	fs.Int("retries", 3, "a diverged help text")
+	fs.Int("attempts", 3, "a diverged help text")
 	fs.PrintDefaults()
-	err := CheckUsage(buf.String(), "retries")
+	err := CheckUsage(buf.String(), "attempts")
 	if err == nil {
 		t.Fatal("CheckUsage accepted a diverged flag")
 	}
-	if !strings.Contains(err.Error(), "retries") {
+	if !strings.Contains(err.Error(), "attempts") {
 		t.Fatalf("drift error does not name the flag: %v", err)
 	}
 	if err := CheckUsage(buf.String(), "metrics"); err == nil {
@@ -67,12 +63,11 @@ func TestCheckUsageDetectsDrift(t *testing.T) {
 }
 
 func TestGroupsParse(t *testing.T) {
-	fs, o, j, r, b, p, _ := newFlagSet()
+	fs, o, j, b, _ := newFlagSet()
 	err := fs.Parse([]string{
 		"-metrics", "m.json", "-trace", "t.jsonl", "-progress", "-pprof", "localhost:0",
 		"-journal", "j.jsonl", "-resume",
-		"-retries", "4", "-retry-backoff", "250ms",
-		"-timeout", "2m", "-point-timeout", "5s",
+		"-timeout", "2m",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,12 +80,8 @@ func TestGroupsParse(t *testing.T) {
 	if *j.Path != "j.jsonl" || !*j.Resume {
 		t.Fatalf("journal group = %q resume=%v", *j.Path, *j.Resume)
 	}
-	pol := r.Policy()
-	if pol.MaxAttempts != 4 || pol.Backoff != 250*time.Millisecond {
-		t.Fatalf("retry policy = %+v", pol)
-	}
-	if *b.Timeout != 2*time.Minute || *p.PointTimeout != 5*time.Second {
-		t.Fatalf("budgets = %v / %v", *b.Timeout, *p.PointTimeout)
+	if *b.Timeout != 2*time.Minute {
+		t.Fatalf("budget = %v", *b.Timeout)
 	}
 }
 

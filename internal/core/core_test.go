@@ -10,6 +10,7 @@ import (
 	"lrd/internal/dist"
 	"lrd/internal/numerics"
 	"lrd/internal/solver"
+	"lrd/internal/source"
 	"lrd/internal/traces"
 )
 
@@ -143,6 +144,30 @@ func TestLossVsBufferAndCutoffShape(t *testing.T) {
 	}
 	if _, err := LossVsBufferAndCutoff(context.Background(), tm, 0.85, nil, cutoffs, Sweep(fastCfg())); err == nil {
 		t.Fatal("want error on empty grid")
+	}
+}
+
+// TestOutOfResolutionSolveStops pins the solver's one stall rule on the
+// b = 0.5 s, Tc = 0.1 s cell of TestLossVsBufferAndCutoffShape: its bounds
+// go stationary short of the RelGap target at MaxBins, so the solve must
+// stop there as stalled instead of stepping out its iteration budget on
+// roundoff.
+func TestOutOfResolutionSolveStops(t *testing.T) {
+	ref, err := quickModel(t).Source(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := solver.NewModelNormalized(source.NewFluid(ref), 0.85, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := solver.SolveModel(m, fastCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Degraded != solver.DegradedStalled || res.Bins != 2048 || res.Iterations >= 2000 {
+		t.Fatalf("degraded %q at M = %d after %d iterations; want %q at M = 2048 in fewer than 2000",
+			res.Degraded, res.Bins, res.Iterations, solver.DegradedStalled)
 	}
 }
 

@@ -9,8 +9,7 @@
 // it credits per-worker cells claimed/completed/stolen and reports live
 // lease deadlines, straggler flags, and grid completion.
 //
-// It backs `GET /v1/status` (plus the SSE stream) on lrdserve and the
-// `lrdsweep -status` / lrdtop watch surfaces.
+// It backs `GET /v1/status` on lrdserve and the lrdtop watch surface.
 package fleetstatus
 
 import (
@@ -292,8 +291,8 @@ func (a *Aggregator) Status() (Status, error) {
 	return s, nil
 }
 
-// WriteText renders the status as a human-readable table (the lrdsweep
-// -status / lrdtop surface).
+// WriteText renders the status as a human-readable table (the lrdtop
+// surface).
 func (s Status) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "fleet status — journal %s\n", s.Journal)
 	fmt.Fprintf(w, "cells: %d completed, %d in flight", s.CellsDone, s.CellsInFlight)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -86,55 +85,6 @@ func TestStatusEndpoint(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("journal-less status = %d: %s", resp2.StatusCode, data2)
-	}
-}
-
-// TestStatusStream: the SSE endpoint pushes a status event immediately,
-// then keeps pushing on the requested interval.
-func TestStatusStream(t *testing.T) {
-	path := fleetJournal(t)
-	s := New(Config{Status: fleetstatus.New(path, fleetstatus.Options{ExpectedCells: 2})})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/v1/status/stream?interval_ms=100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	r := bufio.NewReader(resp.Body)
-	readEvent := func() (event string, data []byte) {
-		t.Helper()
-		for {
-			line, err := r.ReadString('\n')
-			if err != nil {
-				t.Fatalf("reading SSE stream: %v", err)
-			}
-			switch {
-			case strings.HasPrefix(line, "event: "):
-				event = strings.TrimSpace(strings.TrimPrefix(line, "event: "))
-			case strings.HasPrefix(line, "data: "):
-				data = []byte(strings.TrimSpace(strings.TrimPrefix(line, "data: ")))
-			case line == "\n":
-				return event, data
-			}
-		}
-	}
-	for i := 0; i < 2; i++ { // the immediate event, then one tick later
-		event, data := readEvent()
-		if event != "status" {
-			t.Fatalf("event %d = %q, want status", i, event)
-		}
-		var st fleetstatus.Status
-		if err := json.Unmarshal(data, &st); err != nil {
-			t.Fatalf("event %d data is not JSON: %v\n%s", i, err, data)
-		}
-		if st.CellsDone != 1 || st.CellsExpected != 2 {
-			t.Fatalf("event %d status = %+v", i, st)
-		}
 	}
 }
 

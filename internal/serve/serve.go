@@ -84,10 +84,10 @@ type Config struct {
 	// Registry receives the serve metrics and backs /metrics. New creates
 	// one when nil.
 	Registry *obs.Registry
-	// Status, when non-nil, backs GET /v1/status and the SSE stream with a
-	// journal-derived fleet view (typically an aggregator tailing the same
-	// journal the cache/lease layer writes). Without it /v1/status reports
-	// an empty fleet.
+	// Status, when non-nil, backs GET /v1/status with a journal-derived
+	// fleet view (typically an aggregator tailing the same journal the
+	// cache/lease layer writes). Without it /v1/status reports an empty
+	// fleet.
 	Status *fleetstatus.Aggregator
 	// SpanSink, when non-nil, receives the request/solve/journal spans of
 	// every request (the -trace JSONL file on lrdserve).
@@ -198,7 +198,7 @@ func New(cfg Config) *Server {
 
 // Handler returns the HTTP API: POST /v1/solve, POST /v1/sweep,
 // POST /v1/fit, POST /v1/provision, GET /metrics (Prometheus text; ?format=json for the JSON snapshot),
-// GET /v1/status (+ /v1/status/stream SSE), GET /healthz, GET /readyz.
+// GET /v1/status, GET /healthz, GET /readyz.
 // The stack is wrapped by the admission perimeter: per-client rate
 // limiting on /v1/ paths, panic recovery outermost.
 func (s *Server) Handler() http.Handler {
@@ -209,7 +209,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/provision", s.handleProvision)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
-	mux.HandleFunc("GET /v1/status/stream", s.handleStatusStream)
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -233,21 +232,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// statusSnapshot builds the fleet status. Without an aggregator the fleet
+// handleStatus serves the fleet status. Without an aggregator the fleet
 // view is empty (the server is running journal-less); the endpoint still
 // answers so probes need not know the deployment mode.
-func (s *Server) statusSnapshot() (fleetstatus.Status, error) {
-	if s.cfg.Status == nil {
-		return fleetstatus.Status{UnixMs: time.Now().UnixMilli()}, nil
-	}
-	return s.cfg.Status.Status()
-}
-
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	st, err := s.statusSnapshot()
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "status", err)
-		return
+	st := fleetstatus.Status{UnixMs: time.Now().UnixMilli()}
+	if s.cfg.Status != nil {
+		var err error
+		if st, err = s.cfg.Status.Status(); err != nil {
+			s.fail(w, http.StatusInternalServerError, "status", err)
+			return
+		}
 	}
 	body, err := json.Marshal(st)
 	if err != nil {
@@ -255,48 +250,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, "", body)
-}
-
-// handleStatusStream pushes the fleet status as server-sent events: one
-// `status` event immediately, then one per interval (?interval_ms, default
-// 1000, floor 100) until the client disconnects.
-func (s *Server) handleStatusStream(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		s.fail(w, http.StatusInternalServerError, "status", errors.New("streaming unsupported"))
-		return
-	}
-	interval := time.Second
-	if ms, err := strconv.Atoi(r.URL.Query().Get("interval_ms")); err == nil && ms > 0 {
-		if ms < 100 {
-			ms = 100
-		}
-		interval = time.Duration(ms) * time.Millisecond
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		st, err := s.statusSnapshot()
-		if err != nil {
-			fmt.Fprintf(w, "event: error\ndata: %q\n\n", err.Error())
-			fl.Flush()
-			return
-		}
-		body, err := json.Marshal(st)
-		if err != nil {
-			return
-		}
-		fmt.Fprintf(w, "event: status\ndata: %s\n\n", body)
-		fl.Flush()
-		select {
-		case <-r.Context().Done():
-			return
-		case <-t.C:
-		}
-	}
 }
 
 // writeJSON sends body with the cache disposition header. Bodies for the

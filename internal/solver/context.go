@@ -21,7 +21,8 @@ const (
 	DegradedDeadline DegradeReason = "deadline exceeded"
 	// DegradedIterations: the Config.MaxIterations budget was exhausted.
 	DegradedIterations DegradeReason = "iteration budget exhausted"
-	// DegradedStalled: the bounds stopped moving numerically at the maximum
+	// DegradedStalled: the bounds stopped moving (both snapped bounds moved
+	// less than stallTol relative for five steps in a row) at the maximum
 	// resolution without reaching the RelGap target.
 	DegradedStalled DegradeReason = "bounds stalled at maximum resolution"
 )
@@ -170,13 +171,11 @@ func (it *Iterator) runContext(ctx context.Context) (Result, error) {
 		ctx, cancel = context.WithTimeout(ctx, it.cfg.MaxDuration)
 		defer cancel()
 	}
-	const hardStallTol = 1e-12 // below this the n-recursion is numerically fixed
 	// Bound values below the roundoff slack are noise; snapping them to zero
 	// keeps their jitter from masking stationarity (otherwise a cell whose
 	// lower bound hovers around 1e-17 never triggers refinement).
 	prevLo, prevHi := it.snap(it.lowerLoss), it.snap(it.upperLoss)
-	stall, hardStall := 0, 0
-	outOfResolution := false
+	stall := 0
 	for it.iterations < it.cfg.MaxIterations {
 		if r, ok := it.converged(); ok {
 			return r, nil
@@ -196,23 +195,12 @@ func (it *Iterator) runContext(ctx context.Context) (Result, error) {
 		} else {
 			stall = 0
 		}
-		if loMove < hardStallTol && hiMove < hardStallTol {
-			hardStall++
-		} else {
-			hardStall = 0
-		}
-		if outOfResolution {
-			// Out of resolution. Keep iterating — the bounds may still
-			// tighten in n — but give up once they are numerically fixed.
-			if hardStall >= 10 {
-				break
-			}
-			continue
-		}
 		if stall >= 5 {
-			stall, hardStall = 0, 0
+			// Stationary at this resolution: refine, or stop once out of
+			// resolution — more steps at MaxBins only move roundoff.
+			stall = 0
 			if !it.Refine() {
-				outOfResolution = true
+				break
 			}
 		}
 	}

@@ -36,6 +36,9 @@ func ConfigHash(cfg Config) string {
 // Config field records. Bump it with every change that moves results under
 // an unchanged Config, such as a new cold start; journals and caches keyed
 // by ConfigHash then recompute instead of mixing results of two revisions.
+// A change that moves only degraded results, such as where an
+// out-of-resolution solve stops, keeps the revision: a journaled degraded
+// cell of either revision is still a valid bracket.
 // Revision 1: the cold start's first rung and certified upper start
 // (start.go).
 const solverRevision = 1
