@@ -160,23 +160,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// solve to a given SLO, or both when both dimensions are pinned.
 	wantSolve := *buffer > 0 && *sloTarget != core.TargetService
 	if wantSolve || *slo > 0 {
-		if *util != 0 && *service != 0 {
-			return fail("give either -util or -service, not both")
+		// The operating point of the fitted queue. The util/service rule is
+		// checked here as well as in Queue because the inverse solve takes
+		// both fields unbuilt.
+		q := api.SolveRequest{Util: *util, Service: *service, Buffer: *buffer}
+		if q.Util != 0 && q.Service != 0 {
+			return fail("give either util or service, not both")
 		}
 		src, err := res.Realize()
 		if err != nil {
 			return fail("%v", err)
 		}
 		if wantSolve {
-			if *util == 0 && *service == 0 {
-				return fail("-buffer needs -util or -service to define the queue")
-			}
-			var mdl solver.Model
-			if *util != 0 {
-				mdl, err = solver.NewModelNormalized(src, *util, *buffer)
-			} else {
-				mdl, err = solver.NewModelFromSource(src, *service, *buffer**service)
-			}
+			mdl, err := q.Queue(src)
 			if err != nil {
 				return fail("%v", err)
 			}
@@ -184,12 +180,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if err != nil {
 				return fail("solve: %v", err)
 			}
-			out.Solve = &api.SolveResponse{
-				Loss: sres.Loss, Lower: sres.Lower, Upper: sres.Upper,
-				RelativeGap: sres.RelativeGap(), Bins: sres.Bins,
-				Iterations: sres.Iterations, Converged: sres.Converged,
-				Degraded: string(sres.Degraded), GridStep: sres.GridStep,
-			}
+			solve := api.NewSolveResponse(sres, "")
+			out.Solve = &solve
 		}
 		if *slo > 0 {
 			prov, err := core.Provision(ctx, src, core.ProvisionOptions{

@@ -2,9 +2,13 @@
 // fluid queue fed by the cutoff-correlated source of Grossglauser & Bolot
 // (SIGCOMM '96) with the library's bounded numerical solver.
 //
-// The marginal is given inline as rate:probability pairs; the correlation
-// structure via the Hurst parameter (or tail index), the scale θ (or a
-// mean epoch length to calibrate θ from), and the cutoff lag.
+// The flags are the fields of a POST /v1/solve body (internal/api's
+// SolveRequest), checked and built by the same rules lrdserve applies: the
+// marginal inline as rate:probability pairs; the correlation structure via
+// the Hurst parameter (or tail index), the scale θ (or a mean epoch length
+// to calibrate θ from), and the cutoff lag, where -cutoff 0 means
+// infinite, as absent does; the queue via the utilization (or service
+// rate) and the normalized buffer.
 //
 // Example — an on/off source at 80 % utilization with 0.5 s of buffering:
 //
@@ -37,9 +41,8 @@ import (
 	"os"
 	"os/signal"
 
+	"lrd/internal/api"
 	"lrd/internal/cliflags"
-	"lrd/internal/dist"
-	"lrd/internal/fluid"
 	"lrd/internal/journal"
 	"lrd/internal/obs"
 	"lrd/internal/solver"
@@ -62,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		alpha        = fs.Float64("alpha", 0, "Pareto tail index in (1, 2); alternative to -hurst")
 		theta        = fs.Float64("theta", 0, "Pareto scale θ in seconds")
 		epoch        = fs.Float64("epoch", 0, "mean epoch duration in seconds; calibrates θ when -theta is absent")
-		cutoff       = fs.Float64("cutoff", math.Inf(1), "correlation cutoff lag Tc in seconds (default: infinite)")
+		cutoff       = fs.Float64("cutoff", math.Inf(1), "correlation cutoff lag Tc in seconds; 0 means infinite")
 		util         = fs.Float64("util", 0, "target utilization in (0, 1); sets the service rate from the marginal mean")
 		service      = fs.Float64("service", 0, "service rate c in work units/s; alternative to -util")
 		buffer       = fs.Float64("buffer", 0, "normalized buffer size B/c in seconds (required)")
@@ -86,85 +89,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer cli.Close()
 	logger := obs.NewLogger(stderr, "lrdloss", cli.Trace())
 
-	bad := false
-	fail := func(format string, args ...any) {
+	fail := func(format string, args ...any) int {
 		logger.Error(fmt.Sprintf("lrdloss: "+format, args...))
-		bad = true
+		return 1
 	}
 
-	if *marginalFlag == "" {
-		fail("-marginal is required (rate:prob pairs)")
-		return 1
-	}
-	m, err := parseMarginal(*marginalFlag)
-	if err != nil {
-		fail("%v", err)
-		return 1
-	}
-	a := *alpha
-	switch {
-	case *hurst != 0 && *alpha != 0:
-		fail("give either -hurst or -alpha, not both")
-	case *hurst != 0:
-		a = dist.AlphaFromHurst(*hurst)
-	case *alpha == 0:
-		fail("one of -hurst or -alpha is required")
-	}
-	if bad {
-		return 1
-	}
-	th := *theta
-	if th == 0 {
-		if *epoch == 0 {
-			fail("one of -theta or -epoch is required")
-			return 1
-		}
-		th, err = dist.CalibrateTheta(a, *epoch)
-		if err != nil {
-			fail("%v", err)
-			return 1
-		}
-	}
-	ref, err := fluid.New(m, dist.TruncatedPareto{Theta: th, Alpha: a, Cutoff: *cutoff})
-	if err != nil {
-		fail("%v", err)
-		return 1
-	}
 	specs, err := modelSpecs()
 	if err != nil {
-		fail("%v", err)
-		return 1
+		return fail("%v", err)
 	}
 	if len(specs) != 1 {
-		fail("-model takes a single model; use lrdsweep for side-by-side model comparisons")
-		return 1
+		return fail("-model takes a single model; use lrdsweep for side-by-side model comparisons")
 	}
-	src, err := specs[0].Realize(ref)
+	req := api.SolveRequest{
+		Marginal: *marginalFlag, Hurst: *hurst, Alpha: *alpha, Theta: *theta, Epoch: *epoch,
+		Cutoff: *cutoff, Util: *util, Service: *service, Buffer: *buffer, Model: specs[0],
+	}
+	_, src, err := req.Source()
 	if err != nil {
-		fail("%v", err)
-		return 1
+		return fail("%v", err)
 	}
-	if *buffer <= 0 {
-		fail("-buffer is required (seconds)")
-		return 1
-	}
-	var mdl solver.Model
-	switch {
-	case *util != 0 && *service != 0:
-		fail("give either -util or -service, not both")
-	case *util != 0:
-		mdl, err = solver.NewModelNormalized(src, *util, *buffer)
-	case *service != 0:
-		mdl, err = solver.NewModelFromSource(src, *service, *buffer**service)
-	default:
-		fail("one of -util or -service is required")
-	}
-	if bad {
-		return 1
-	}
+	mdl, err := req.Queue(src)
 	if err != nil {
-		fail("%v", err)
-		return 1
+		return fail("%v", err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -181,8 +128,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	res, err := solver.SolveModelContext(ctx, mdl, cfg)
 	if err != nil {
-		fail("%v", err)
-		return 1
+		return fail("%v", err)
 	}
 	render := func(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "loss %.6g\n", res.Loss); err != nil {
@@ -212,12 +158,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *out != "" {
 		// Atomic write: a crash never leaves a torn result file.
 		if err := journal.WriteFileAtomic(*out, render); err != nil {
-			fail("%v", err)
-			return 1
+			return fail("%v", err)
 		}
 	} else if err := render(stdout); err != nil {
-		fail("%v", err)
-		return 1
+		return fail("%v", err)
 	}
 	switch {
 	// Retryable reasons are exactly the wall-clock interruptions (SIGINT,
@@ -232,7 +176,3 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	return 0
 }
-
-// parseMarginal parses "rate:prob,rate:prob,…" (kept as a thin wrapper so
-// the flag layer has a single marginal syntax shared with internal/source).
-func parseMarginal(s string) (dist.Marginal, error) { return source.ParseMarginal(s) }

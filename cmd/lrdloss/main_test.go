@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"lrd/internal/numerics"
 )
 
 // runCapture invokes run with captured stdout/stderr.
@@ -32,7 +30,7 @@ func TestRunRequiresMarginal(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
-	if !strings.Contains(stderr, "-marginal is required") {
+	if !strings.Contains(stderr, "marginal is required") {
 		t.Fatalf("stderr = %q", stderr)
 	}
 }
@@ -95,42 +93,5 @@ func TestRunModelVerbose(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "source mmfq{") || !strings.Contains(stdout, "exact overflow") {
 		t.Fatalf("verbose mmfq output missing diagnostics:\n%s", stdout)
-	}
-}
-
-func TestParseMarginal(t *testing.T) {
-	m, err := parseMarginal("0:0.5,2:0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 2 || m.Rate(0) != 0 || m.Rate(1) != 2 {
-		t.Fatalf("parsed %v", m)
-	}
-	if !numerics.AlmostEqual(m.Mean(), 1, 1e-12) {
-		t.Fatalf("mean = %v", m.Mean())
-	}
-}
-
-func TestParseMarginalRenormalizes(t *testing.T) {
-	// NewMarginal rejects non-unit mass, so mismatched probabilities are
-	// an error rather than silently renormalized.
-	if _, err := parseMarginal("1:0.3,2:0.3"); err == nil {
-		t.Fatal("want error for probabilities not summing to 1")
-	}
-}
-
-func TestParseMarginalErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"1",
-		"1:2:3",
-		"x:0.5,2:0.5",
-		"1:y,2:0.5",
-		"1:-0.5,2:1.5",
-	}
-	for _, c := range cases {
-		if _, err := parseMarginal(c); err == nil {
-			t.Errorf("parseMarginal(%q) accepted", c)
-		}
 	}
 }

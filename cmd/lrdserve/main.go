@@ -4,9 +4,9 @@
 // Endpoints:
 //
 //	POST /v1/solve         — solve one queue; the body is the lrdloss
-//	                         parameter set as JSON (internal/serve.SolveRequest)
+//	                         parameter set as JSON (internal/api.SolveRequest)
 //	POST /v1/sweep         — solve a buffers × cutoffs grid in one batch
-//	                         request (see internal/serve.SweepRequest)
+//	                         request (see internal/api.SweepRequest)
 //	GET  /metrics          — Prometheus text exposition of the serve and
 //	                         solver metrics (?format=json for the JSON
 //	                         snapshot)

@@ -8,7 +8,8 @@
 //	onoff     — superposition of heavy-tailed on/off sources (-sources, ...)
 //	model     — any registered traffic model (-model, -model-params) fitted
 //	            to the reference source built from -marginal, -hurst,
-//	            -epoch, -cutoff; sampled into -bins × -binwidth bins
+//	            -epoch, -cutoff (0 = infinite) by the /v1/solve rules;
+//	            sampled into -bins × -binwidth bins
 //
 // Analysis (-analyze FILE or -gen X without -out) prints the trace's mean
 // rate, 50-bin marginal summary, mean epoch duration, and all four Hurst
@@ -35,10 +36,9 @@ import (
 	"math/rand"
 	"os"
 
+	"lrd/internal/api"
 	"lrd/internal/cliflags"
-	"lrd/internal/dist"
 	"lrd/internal/fft"
-	"lrd/internal/fluid"
 	"lrd/internal/lrdest"
 	"lrd/internal/obs"
 	"lrd/internal/onoff"
@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sources  = fs.Int("sources", 32, "onoff: number of superposed sources")
 		marginal = fs.String("marginal", "0:0.5,2:0.5", "model: reference marginal as rate:prob pairs")
 		epoch    = fs.Float64("epoch", 0.05, "model: mean epoch duration in seconds (calibrates θ)")
-		cutoff   = fs.Float64("cutoff", 10, "model: correlation cutoff lag Tc in seconds")
+		cutoff   = fs.Float64("cutoff", 10, "model: correlation cutoff lag Tc in seconds; 0 means infinite")
 	)
 	oflags := cliflags.ObsGroup(fs)
 	modelSpecs := cliflags.ModelGroup(fs)
@@ -190,9 +190,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // generateModel samples a binned rate trace from a registered traffic model
-// fitted to the reference cutoff-Pareto source described by the flags. The
-// fluid model reproduces the reference's own generator; Markovian models
-// sample their fitted interarrival law from a stationary start.
+// fitted to the reference cutoff-Pareto source described by the flags,
+// built by the /v1/solve rules (internal/api). The fluid model reproduces
+// the reference's own generator; Markovian models sample their fitted
+// interarrival law from a stationary start.
 func generateModel(specsFn func() ([]source.Spec, error), marginal string, hurst, epoch, cutoff float64, bins int, binWidth float64, rng *rand.Rand) (traces.Trace, error) {
 	specs, err := specsFn()
 	if err != nil {
@@ -201,20 +202,8 @@ func generateModel(specsFn func() ([]source.Spec, error), marginal string, hurst
 	if len(specs) != 1 {
 		return traces.Trace{}, fmt.Errorf("-gen model takes a single -model entry")
 	}
-	m, err := source.ParseMarginal(marginal)
-	if err != nil {
-		return traces.Trace{}, err
-	}
-	alpha := dist.AlphaFromHurst(hurst)
-	theta, err := dist.CalibrateTheta(alpha, epoch)
-	if err != nil {
-		return traces.Trace{}, err
-	}
-	ref, err := fluid.New(m, dist.TruncatedPareto{Theta: theta, Alpha: alpha, Cutoff: cutoff})
-	if err != nil {
-		return traces.Trace{}, err
-	}
-	src, err := specs[0].Realize(ref)
+	req := api.SolveRequest{Marginal: marginal, Hurst: hurst, Epoch: epoch, Cutoff: cutoff, Model: specs[0]}
+	_, src, err := req.Source()
 	if err != nil {
 		return traces.Trace{}, err
 	}

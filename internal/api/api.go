@@ -3,12 +3,15 @@
 // shared error envelope and the typed fleet client built on
 // internal/resilient.
 //
-// Before this package existed the contract lived in three places — the
-// serve handlers owned the structs, lrdsweep's remote solver imported them
-// through the server package, and lrdcall shipped raw bytes with no types
-// at all — and nothing stopped them drifting. Now the server decodes,
-// the clients encode, and the golden tests round-trip exactly these types,
-// so a wire change is a change to this package or it is a bug.
+// The contract covers what a request means as well as how it is spelled.
+// SolveRequest.Source and SolveRequest.Queue are the one set of rules that
+// turn a queue description into a solver model: exactly one of hurst and
+// alpha, theta or the epoch that calibrates it, a cutoff of 0 (or +Inf)
+// meaning infinite, a required buffer, exactly one of util and service,
+// and the traffic model realized from the reference source. lrdserve
+// applies them to every request, and lrdloss, lrdtrace and lrdfit fill a
+// SolveRequest from their flags and call the same two methods, so the CLI
+// and the wire describe a queue identically.
 //
 // Compatibility contract: the JSON rendered by these types is
 // byte-identical to the pre-package serve encoding (field order, tags,
@@ -20,9 +23,14 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"time"
 
+	"lrd/internal/dist"
+	"lrd/internal/fluid"
+	"lrd/internal/solver"
 	"lrd/internal/source"
 )
 
@@ -73,12 +81,13 @@ type SolverParams struct {
 	Timeout Duration `json:"timeout,omitempty"`
 }
 
-// SolveRequest is the POST /v1/solve body: the same queue description the
-// lrdloss command takes, as JSON. The marginal uses the CLI's inline
-// rate:prob syntax; the correlation structure is given by -hurst-or-alpha,
-// -theta-or-epoch, and the cutoff lag; the queue by -util-or-service and
-// the normalized buffer; and the optional model is a registered traffic
-// model spec ({"name": ..., "params": {...}}).
+// SolveRequest is the POST /v1/solve body and the queue description every
+// front end builds its model from: lrdloss's flags are its fields. The
+// marginal uses the inline rate:prob syntax; the correlation structure is
+// given by hurst-or-alpha, theta-or-epoch, and the cutoff lag; the queue by
+// util-or-service and the normalized buffer; and the optional model is a
+// registered traffic model spec ({"name": ..., "params": {...}}). Source
+// and Queue validate and build it.
 type SolveRequest struct {
 	// Marginal is the rate marginal as rate:prob pairs, e.g. "0:0.5,2:0.5".
 	Marginal string `json:"marginal"`
@@ -87,11 +96,11 @@ type SolveRequest struct {
 	Hurst float64 `json:"hurst,omitempty"`
 	Alpha float64 `json:"alpha,omitempty"`
 	// Theta is the Pareto scale in seconds; Epoch is the mean epoch duration
-	// that calibrates it. Exactly one must be set.
+	// that calibrates it when Theta is absent. One of them is required.
 	Theta float64 `json:"theta,omitempty"`
 	Epoch float64 `json:"epoch,omitempty"`
-	// Cutoff is the correlation cutoff lag Tc in seconds; 0 or absent means
-	// infinite (the pure heavy-tailed source).
+	// Cutoff is the correlation cutoff lag Tc in seconds; 0, absent or +Inf
+	// means infinite (the pure heavy-tailed source).
 	Cutoff float64 `json:"cutoff,omitempty"`
 	// Util in (0, 1) sets the service rate from the marginal mean; Service
 	// gives the rate directly. Exactly one must be set.
@@ -105,6 +114,68 @@ type SolveRequest struct {
 	Model source.Spec `json:"model,omitempty"`
 	// Solver overrides the server's default solver knobs for this request.
 	Solver SolverParams `json:"solver,omitempty"`
+}
+
+// Source validates the request's traffic description and builds it: the
+// reference cutoff-Pareto fluid source (marginal, alpha from hurst or
+// given, theta given or calibrated from epoch, cutoff with 0 or +Inf
+// meaning infinite) and the traffic model that Model realizes from it.
+// The checks run in that order; every error is a client error.
+func (r *SolveRequest) Source() (ref fluid.Source, src source.Source, err error) {
+	if r.Marginal == "" {
+		return ref, nil, errors.New("marginal is required (rate:prob pairs)")
+	}
+	m, err := source.ParseMarginal(r.Marginal)
+	if err != nil {
+		return ref, nil, err
+	}
+	alpha := r.Alpha
+	switch {
+	case r.Hurst != 0 && r.Alpha != 0:
+		return ref, nil, errors.New("give either hurst or alpha, not both")
+	case r.Hurst != 0:
+		alpha = dist.AlphaFromHurst(r.Hurst)
+	case r.Alpha == 0:
+		return ref, nil, errors.New("one of hurst or alpha is required")
+	}
+	theta := r.Theta
+	if theta == 0 {
+		if r.Epoch == 0 {
+			return ref, nil, errors.New("one of theta or epoch is required")
+		}
+		if theta, err = dist.CalibrateTheta(alpha, r.Epoch); err != nil {
+			return ref, nil, err
+		}
+	}
+	cutoff := r.Cutoff
+	if cutoff == 0 {
+		cutoff = math.Inf(1)
+	}
+	if ref, err = fluid.New(m, dist.TruncatedPareto{Theta: theta, Alpha: alpha, Cutoff: cutoff}); err != nil {
+		return ref, nil, err
+	}
+	if src, err = r.Model.Realize(ref); err != nil {
+		return ref, nil, err
+	}
+	return ref, src, nil
+}
+
+// Queue places src at the request's operating point: the normalized buffer
+// B/c, and the service rate c from util (c = mean rate / util) or given
+// directly as service. Every error is a client error.
+func (r *SolveRequest) Queue(src solver.Source) (solver.Model, error) {
+	if r.Buffer <= 0 {
+		return solver.Model{}, errors.New("buffer is required (seconds)")
+	}
+	switch {
+	case r.Util != 0 && r.Service != 0:
+		return solver.Model{}, errors.New("give either util or service, not both")
+	case r.Util != 0:
+		return solver.NewModelNormalized(src, r.Util, r.Buffer)
+	case r.Service != 0:
+		return solver.NewModelFromSource(src, r.Service, r.Buffer*r.Service)
+	}
+	return solver.Model{}, errors.New("one of util or service is required")
 }
 
 // SolveResponse is the POST /v1/solve reply: the loss-rate bracket and
@@ -123,6 +194,23 @@ type SolveResponse struct {
 	Degraded    string  `json:"degraded,omitempty"`
 	GridStep    float64 `json:"grid_step"`
 	Key         string  `json:"key"`
+}
+
+// NewSolveResponse is the /v1/solve reply for a solver result stored under
+// the canonical cache key (empty for a solve that is not cached).
+func NewSolveResponse(res solver.Result, key string) SolveResponse {
+	return SolveResponse{
+		Loss:        res.Loss,
+		Lower:       res.Lower,
+		Upper:       res.Upper,
+		RelativeGap: res.RelativeGap(),
+		Bins:        res.Bins,
+		Iterations:  res.Iterations,
+		Converged:   res.Converged,
+		Degraded:    string(res.Degraded),
+		GridStep:    res.GridStep,
+		Key:         key,
+	}
 }
 
 // SweepRequest is the POST /v1/sweep body: a grid of cells over one queue
@@ -275,16 +363,6 @@ func (f *FitResponse) SolveRequest(util, buffer float64) SolveRequest {
 		Model:    f.Model,
 	}
 }
-
-// Provision targets: what the inverse solve solves for.
-const (
-	// TargetBuffer finds the minimal normalized buffer (seconds) meeting
-	// the SLO at the request's fixed utilization or service rate.
-	TargetBuffer = "buffer"
-	// TargetService finds the minimal service rate meeting the SLO at the
-	// request's fixed normalized buffer.
-	TargetService = "service"
-)
 
 // ProvisionRequest is the POST /v1/provision body: the same queue
 // description as a SolveRequest with the provisioned dimension left open,

@@ -73,7 +73,10 @@ func JournalGroup(fs *flag.FlagSet) *Journal {
 // Open validates the group and opens the journal store: nil when no
 // -journal was given, an error for -resume without -journal or an
 // unopenable journal. When resuming a non-empty journal it prints the
-// standard "resuming; N journaled cell(s) will be skipped" notice to warn.
+// standard "resuming J: N completed cell(s) on record" notice to warn. N
+// counts every completed cell in the file: on a journal shared by several
+// experiments most of them may belong to the others (the cells this run
+// replays are core_cells_resumed_total in -metrics).
 func (j *Journal) Open(prog string, rec obs.Recorder, warn io.Writer) (*core.JournalStore, error) {
 	if *j.Path == "" {
 		if *j.Resume {
@@ -90,7 +93,7 @@ func (j *Journal) Open(prog string, rec obs.Recorder, warn io.Writer) (*core.Jou
 		return nil, fmt.Errorf("%s: %w", prog, err)
 	}
 	if *j.Resume && store.Completed() > 0 && warn != nil {
-		fmt.Fprintf(warn, "%s: resuming; %d journaled cell(s) will be skipped\n", prog, store.Completed())
+		fmt.Fprintf(warn, "%s: resuming %s: %d completed cell(s) on record\n", prog, *j.Path, store.Completed())
 	}
 	return store, nil
 }
@@ -133,7 +136,7 @@ func (l *Lease) Open(prog string, j *Journal, rec obs.Recorder, warn io.Writer) 
 		return nil, fmt.Errorf("%s: %w", prog, err)
 	}
 	if store.Completed() > 0 && warn != nil {
-		fmt.Fprintf(warn, "%s: joining shared journal; %d completed cell(s) will be adopted\n", prog, store.Completed())
+		fmt.Fprintf(warn, "%s: joining shared journal %s: %d completed cell(s) on record\n", prog, *j.Path, store.Completed())
 	}
 	return store, nil
 }

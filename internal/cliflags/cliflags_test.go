@@ -166,7 +166,7 @@ func TestJournalOpen(t *testing.T) {
 	if resumed.Completed() != 1 {
 		t.Fatalf("resumed %d cells, want 1", resumed.Completed())
 	}
-	if got := warn.String(); !strings.Contains(got, "prog: resuming; 1 journaled cell(s) will be skipped") {
+	if got := warn.String(); !strings.Contains(got, "prog: resuming "+path+": 1 completed cell(s) on record") {
 		t.Fatalf("resume notice = %q", got)
 	}
 }

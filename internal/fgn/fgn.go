@@ -121,13 +121,18 @@ func Hosking(h float64, n int, rng *rand.Rand) ([]float64, error) {
 	out := make([]float64, n)
 	phi := make([]float64, n)
 	prev := make([]float64, n)
+	// The recursion reads γ(k) O(n²) times; tabulate it once.
+	gamma := make([]float64, n)
+	for k := range gamma {
+		gamma[k] = Autocovariance(h, k)
+	}
 	v := 1.0 // prediction error variance
 	out[0] = rng.NormFloat64()
 	for t := 1; t < n; t++ {
 		// Durbin–Levinson update of the AR coefficients for lag t.
-		acc := Autocovariance(h, t)
+		acc := gamma[t]
 		for j := 1; j < t; j++ {
-			acc -= prev[j-1] * Autocovariance(h, t-j)
+			acc -= prev[j-1] * gamma[t-j]
 		}
 		kappa := acc / v
 		phi[t-1] = kappa

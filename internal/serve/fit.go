@@ -88,7 +88,7 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 		s.failCode(w, http.StatusBadRequest, "bad_request", api.CodeBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	bs, err := buildSource(&req.SolveRequest)
+	_, src, err := req.Source()
 	if err != nil {
 		finish(http.StatusBadRequest, "")
 		s.failCode(w, http.StatusBadRequest, "bad_request", api.CodeBadRequest, err)
@@ -134,7 +134,7 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 
 	s.solves.Add(1)
 	solveStart := time.Now()
-	prov, err := core.Provision(ctx, bs.src, opts)
+	prov, err := core.Provision(ctx, src, opts)
 	s.reg.Observe(obs.MetricServeSolveSeconds, time.Since(solveStart).Seconds())
 	if err != nil {
 		var inf *core.InfeasibleError

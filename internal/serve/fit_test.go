@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"lrd/internal/api"
+	"lrd/internal/core"
 	"lrd/internal/traces"
 )
 
@@ -87,7 +88,7 @@ func TestFitEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("derived solve: %d %s", resp.StatusCode, body)
 	}
-	var sol SolveResponse
+	var sol api.SolveResponse
 	if err := json.Unmarshal(body, &sol); err != nil {
 		t.Fatal(err)
 	}
@@ -170,21 +171,21 @@ func TestProvisionEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &prov); err != nil {
 		t.Fatal(err)
 	}
-	if prov.Target != api.TargetBuffer || prov.SLO != slo {
+	if prov.Target != core.TargetBuffer || prov.SLO != slo {
 		t.Fatalf("provision response: %+v", prov)
 	}
 	if prov.Loss > slo || prov.Bracket <= 0 || prov.Bracket >= prov.Value {
 		t.Fatalf("bracket shape: %+v", prov)
 	}
 
-	forward := func(buffer float64) SolveResponse {
+	forward := func(buffer float64) api.SolveResponse {
 		t.Helper()
 		resp, body := post(t, ts, fmt.Sprintf(
 			`{"marginal":"0:0.5,2:0.5","hurst":0.8,"epoch":0.05,"cutoff":1,"util":0.8,"buffer":%g}`, buffer))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("forward solve: %d %s", resp.StatusCode, body)
 		}
-		var sol SolveResponse
+		var sol api.SolveResponse
 		if err := json.Unmarshal(body, &sol); err != nil {
 			t.Fatal(err)
 		}

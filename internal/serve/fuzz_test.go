@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"lrd/internal/api"
 	"lrd/internal/dist"
 	"lrd/internal/solver"
 )
@@ -22,7 +23,7 @@ func FuzzCanonicalCacheKey(f *testing.F) {
 
 	base := solver.Config{}
 	f.Fuzz(func(t *testing.T, hurst, epoch, cutoff, util, buffer float64) {
-		r1 := &SolveRequest{
+		r1 := &api.SolveRequest{
 			Marginal: "0:0.5,2:0.5",
 			Hurst:    hurst, Epoch: epoch, Cutoff: cutoff,
 			Util: util, Buffer: buffer,

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"lrd/internal/api"
 	"lrd/internal/solver"
 )
 
@@ -15,7 +16,7 @@ import (
 // changes results (solver.ConfigHash): entries of the old revision must
 // then be recomputed, not replayed.
 func TestCacheKeyGolden(t *testing.T) {
-	req := &SolveRequest{Marginal: "0:0.5,2:0.5", Hurst: 0.8, Epoch: 0.05, Util: 0.8, Buffer: 0.5}
+	req := &api.SolveRequest{Marginal: "0:0.5,2:0.5", Hurst: 0.8, Epoch: 0.05, Util: 0.8, Buffer: 0.5}
 	job, err := buildSolve(req, solver.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"lrd/internal/api"
 	"lrd/internal/obs"
 )
 
@@ -90,7 +91,7 @@ func (s *Server) recoverMiddleware(next http.Handler) http.Handler {
 
 // recoverCell guards one sweep cell's goroutine the same way (a goroutine
 // panic would crash the process straight past any middleware).
-func (s *Server) recoverCell(result *SweepCellResult) {
+func (s *Server) recoverCell(result *api.SweepCellResult) {
 	rec := recover()
 	if rec == nil {
 		return

@@ -4,36 +4,11 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
 	"lrd/internal/api"
-	"lrd/internal/dist"
 	"lrd/internal/fluid"
 	"lrd/internal/solver"
 	"lrd/internal/source"
-)
-
-// The /v1 wire contract lives in internal/api — one definition shared by
-// the server, the typed fleet client, lrdcall, and lrdsweep -fleet. The
-// aliases below keep this package's exported surface (and its tests)
-// unchanged; the request *semantics* — validation, model realization, and
-// the canonical cache key — stay here, since they depend on the solver
-// stack the wire package deliberately does not import.
-type (
-	// Duration aliases api.Duration (accepts "2s" or bare seconds).
-	Duration = api.Duration
-	// SolverParams aliases the per-request solver overrides.
-	SolverParams = api.SolverParams
-	// SolveRequest aliases the POST /v1/solve body.
-	SolveRequest = api.SolveRequest
-	// SolveResponse aliases the POST /v1/solve reply.
-	SolveResponse = api.SolveResponse
-	// SweepRequest aliases the POST /v1/sweep body.
-	SweepRequest = api.SweepRequest
-	// SweepCellResult aliases one cell of a sweep reply.
-	SweepCellResult = api.SweepCellResult
-	// SweepResponse aliases the POST /v1/sweep reply.
-	SweepResponse = api.SweepResponse
 )
 
 // solveJob is a validated, realized request: the model to solve and the
@@ -43,94 +18,25 @@ type solveJob struct {
 	key   string
 }
 
-// builtSource is a validated queue description short of the buffer/service
-// realization: the realized traffic source plus the resolved reference
-// parameters. It is the shared front half of /v1/solve and /v1/provision.
-type builtSource struct {
-	src    source.Source
-	marg   dist.Marginal
-	alpha  float64
-	theta  float64
-	cutoff float64
-}
-
-// buildSource validates the request's source description (marginal,
-// correlation structure, model) and realizes the traffic model. Every
-// error is a client error (HTTP 400).
-func buildSource(r *SolveRequest) (builtSource, error) {
-	if r.Marginal == "" {
-		return builtSource{}, fmt.Errorf("marginal is required (rate:prob pairs)")
-	}
-	m, err := source.ParseMarginal(r.Marginal)
-	if err != nil {
-		return builtSource{}, err
-	}
-	alpha := r.Alpha
-	switch {
-	case r.Hurst != 0 && r.Alpha != 0:
-		return builtSource{}, fmt.Errorf("give either hurst or alpha, not both")
-	case r.Hurst != 0:
-		alpha = dist.AlphaFromHurst(r.Hurst)
-	case r.Alpha == 0:
-		return builtSource{}, fmt.Errorf("one of hurst or alpha is required")
-	}
-	theta := r.Theta
-	if theta == 0 {
-		if r.Epoch == 0 {
-			return builtSource{}, fmt.Errorf("one of theta or epoch is required")
-		}
-		theta, err = dist.CalibrateTheta(alpha, r.Epoch)
-		if err != nil {
-			return builtSource{}, err
-		}
-	}
-	cutoff := r.Cutoff
-	if cutoff == 0 {
-		cutoff = math.Inf(1)
-	}
-	ref, err := fluid.New(m, dist.TruncatedPareto{Theta: theta, Alpha: alpha, Cutoff: cutoff})
-	if err != nil {
-		return builtSource{}, err
-	}
-	src, err := r.Model.Realize(ref)
-	if err != nil {
-		return builtSource{}, err
-	}
-	return builtSource{src: src, marg: m, alpha: alpha, theta: theta, cutoff: cutoff}, nil
-}
-
-// buildSolve validates the request, realizes its traffic model, and
-// computes the canonical cache key. Every error is a client error (HTTP
-// 400).
-func buildSolve(r *SolveRequest, base solver.Config) (solveJob, error) {
-	bs, err := buildSource(r)
+// buildSolve validates the request and builds its model through the wire
+// contract's own rules (api.SolveRequest.Source and Queue), then computes
+// the canonical cache key. Every error is a client error (HTTP 400).
+func buildSolve(r *api.SolveRequest, base solver.Config) (solveJob, error) {
+	ref, src, err := r.Source()
 	if err != nil {
 		return solveJob{}, err
 	}
-	if r.Buffer <= 0 {
-		return solveJob{}, fmt.Errorf("buffer is required (seconds)")
-	}
-	var mdl solver.Model
-	switch {
-	case r.Util != 0 && r.Service != 0:
-		return solveJob{}, fmt.Errorf("give either util or service, not both")
-	case r.Util != 0:
-		mdl, err = solver.NewModelNormalized(bs.src, r.Util, r.Buffer)
-	case r.Service != 0:
-		mdl, err = solver.NewModelFromSource(bs.src, r.Service, r.Buffer*r.Service)
-	default:
-		return solveJob{}, fmt.Errorf("one of util or service is required")
-	}
+	mdl, err := r.Queue(src)
 	if err != nil {
 		return solveJob{}, err
 	}
-	return solveJob{model: mdl, key: cacheKey(bs.marg, bs.alpha, bs.theta, bs.cutoff, mdl, r.Model, solverConfig(r, base))}, nil
+	return solveJob{model: mdl, key: cacheKey(ref, mdl, r.Model, solverConfig(r, base))}, nil
 }
 
 // solverConfig merges the request's overrides onto the server defaults.
 // The per-request budget is applied by the serving loop, not here, so the
 // returned config is budget-free and safe to hash into the cache key.
-func solverConfig(r *SolveRequest, base solver.Config) solver.Config {
+func solverConfig(r *api.SolveRequest, base solver.Config) solver.Config {
 	if r.Solver.RelGap > 0 {
 		base.RelGap = r.Solver.RelGap
 	}
@@ -148,22 +54,12 @@ func solverConfig(r *SolveRequest, base solver.Config) solver.Config {
 // configuration enters through solver.ConfigHash with its wall-clock budget
 // zeroed — budgets shape latency, not the converged answer, and converged
 // results are the only ones cached.
-func cacheKey(m dist.Marginal, alpha, theta, cutoff float64, mdl solver.Model, spec source.Spec, cfg solver.Config) string {
-	var b strings.Builder
-	b.WriteString("v1|mg=")
-	for i := 0; i < m.Len(); i++ {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(gfmt(m.Rate(i)))
-		b.WriteByte(':')
-		b.WriteString(gfmt(m.Prob(i)))
-	}
-	fmt.Fprintf(&b, "|a=%s|th=%s|tc=%s|c=%s|B=%s|model=%s|cfg=%s",
-		gfmt(alpha), gfmt(theta), gfmt(cutoff),
+func cacheKey(ref fluid.Source, mdl solver.Model, spec source.Spec, cfg solver.Config) string {
+	p := ref.Interarrival
+	return fmt.Sprintf("v1|mg=%s|a=%s|th=%s|tc=%s|c=%s|B=%s|model=%s|cfg=%s",
+		source.FormatMarginal(ref.Marginal), gfmt(p.Alpha), gfmt(p.Theta), gfmt(p.Cutoff),
 		gfmt(mdl.ServiceRate), gfmt(mdl.Buffer),
 		spec.Key(), solver.ConfigHash(cfg))
-	return b.String()
 }
 
 // gfmt formats a float in shortest round-trippable form (inf-safe), the

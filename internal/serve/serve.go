@@ -330,7 +330,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.reg.Observe(obs.MetricServeRequestSeconds, time.Since(start).Seconds()) }()
 	ctx, finish := s.traceRequest(w, r, "serve.solve")
 
-	var req SolveRequest
+	var req api.SolveRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -366,7 +366,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.reg.Observe(obs.MetricServeRequestSeconds, time.Since(start).Seconds()) }()
 	ctx, finish := s.traceRequest(w, r, "serve.sweep")
 
-	var req SweepRequest
+	var req api.SweepRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -381,7 +381,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	type built struct {
-		req SolveRequest
+		req api.SolveRequest
 		job solveJob
 	}
 	jobs := make([]built, len(cells))
@@ -396,7 +396,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		jobs[i] = built{req: cr, job: job}
 	}
 
-	results := make([]SweepCellResult, len(jobs))
+	results := make([]api.SweepCellResult, len(jobs))
 	var wg sync.WaitGroup
 	for i := range jobs {
 		wg.Add(1)
@@ -407,7 +407,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			defer s.recoverCell(&results[i])
 			results[i].Buffer, results[i].Cutoff = jobs[i].req.Buffer, jobs[i].req.Cutoff
 			status, disposition, body := s.solveOne(ctx, jobs[i].req, jobs[i].job)
-			results[i] = SweepCellResult{
+			results[i] = api.SweepCellResult{
 				Buffer: jobs[i].req.Buffer,
 				Cutoff: jobs[i].req.Cutoff,
 				Status: status,
@@ -427,7 +427,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	body, err := json.Marshal(SweepResponse{Cells: results})
+	body, err := json.Marshal(api.SweepResponse{Cells: results})
 	if err != nil {
 		finish(http.StatusInternalServerError, "")
 		s.fail(w, http.StatusInternalServerError, "encode", fmt.Errorf("encoding sweep response: %w", err))
@@ -448,7 +448,7 @@ func (s *Server) retryAfterSeconds() string {
 // disposition, and body. It is context-based (no ResponseWriter) so the
 // sweep endpoint can drive many keys through it per request; HTTP-only
 // concerns like the Retry-After header live with the callers.
-func (s *Server) solveOne(ctx context.Context, req SolveRequest, job solveJob) (int, string, []byte) {
+func (s *Server) solveOne(ctx context.Context, req api.SolveRequest, job solveJob) (int, string, []byte) {
 	// Stage 1: cache.
 	if s.cache != nil {
 		if body, ok := s.cache.get(job.key); ok {
@@ -503,7 +503,7 @@ func (s *Server) solveOne(ctx context.Context, req SolveRequest, job solveJob) (
 // the lease holder proceeds to admission and the solve; a solve that does
 // not converge releases the lease so a peer (or retry) can take the key
 // over, while a converged solve's journal append consumes it.
-func (s *Server) leaseAndSolve(ctx context.Context, req SolveRequest, job solveJob, disposition *string) (int, []byte) {
+func (s *Server) leaseAndSolve(ctx context.Context, req api.SolveRequest, job solveJob, disposition *string) (int, []byte) {
 	if s.cfg.Leases != nil {
 		leaseCtx, finishLease := obs.StartSpan(ctx, "lease.acquire")
 		raw, acquired, err := s.cfg.Leases.Acquire(leaseCtx, job.key)
@@ -575,7 +575,7 @@ func (s *Server) admit(ctx context.Context) (release func(), status int, body []
 // admission, then the budgeted solve. It returns the status and body that
 // both the leader and its coalesced followers receive — including shed
 // (429) and canceled-while-queued outcomes, which followers share.
-func (s *Server) admitAndSolve(ctx context.Context, req SolveRequest, job solveJob) (int, []byte) {
+func (s *Server) admitAndSolve(ctx context.Context, req api.SolveRequest, job solveJob) (int, []byte) {
 	// Stage 3: admission.
 	release, status, body := s.admit(ctx)
 	if release == nil {
@@ -612,18 +612,7 @@ func (s *Server) admitAndSolve(ctx context.Context, req SolveRequest, job solveJ
 		return status, errBody("", err.Error())
 	}
 
-	body, merr := json.Marshal(SolveResponse{
-		Loss:        res.Loss,
-		Lower:       res.Lower,
-		Upper:       res.Upper,
-		RelativeGap: res.RelativeGap(),
-		Bins:        res.Bins,
-		Iterations:  res.Iterations,
-		Converged:   res.Converged,
-		Degraded:    string(res.Degraded),
-		GridStep:    res.GridStep,
-		Key:         job.key,
-	})
+	body, merr := json.Marshal(api.NewSolveResponse(res, job.key))
 	if merr != nil {
 		s.reg.Add(obs.Labeled(obs.MetricServeErrors, "kind", "encode"), 1)
 		return http.StatusInternalServerError, errBody("", "encoding response: "+merr.Error())

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"lrd/internal/api"
 	"lrd/internal/core"
 	"lrd/internal/obs"
 )
@@ -62,7 +63,7 @@ func TestSolveCachedBitIdentical(t *testing.T) {
 	if got := resp1.Header.Get("X-Lrd-Cache"); got != "miss" {
 		t.Fatalf("first solve X-Lrd-Cache = %q, want miss", got)
 	}
-	var res SolveResponse
+	var res api.SolveResponse
 	if err := json.Unmarshal(body1, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestDegradedResultsAreNotCached(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("degraded solve: %d %s", resp.StatusCode, data)
 	}
-	var res SolveResponse
+	var res api.SolveResponse
 	if err := json.Unmarshal(data, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestModelRequests(t *testing.T) {
 	if resp.Header.Get("X-Lrd-Cache") != "miss" {
 		t.Fatal("mmfq request hit the fluid cache entry: keys do not separate models")
 	}
-	var f, q SolveResponse
+	var f, q api.SolveResponse
 	if err := json.Unmarshal(fluidResp, &f); err != nil {
 		t.Fatal(err)
 	}

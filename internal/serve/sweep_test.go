@@ -13,10 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"lrd/internal/api"
 	"lrd/internal/core"
 )
 
-func postSweep(t *testing.T, ts *httptest.Server, body string) (*http.Response, SweepResponse) {
+func postSweep(t *testing.T, ts *httptest.Server, body string) (*http.Response, api.SweepResponse) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -27,7 +28,7 @@ func postSweep(t *testing.T, ts *httptest.Server, body string) (*http.Response, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sr SweepResponse
+	var sr api.SweepResponse
 	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusMultiStatus {
 		if err := json.Unmarshal(data, &sr); err != nil {
 			t.Fatalf("decoding sweep response: %v\n%s", err, data)
@@ -126,7 +127,7 @@ func TestSweepFleetSplitsAcrossReplicas(t *testing.T) {
 	const cells = 6
 
 	var wg sync.WaitGroup
-	responses := make([]SweepResponse, 2)
+	responses := make([]api.SweepResponse, 2)
 	for i, ts := range []*httptest.Server{ts1, ts2} {
 		wg.Add(1)
 		go func(i int, ts *httptest.Server) {

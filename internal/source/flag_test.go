@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lrd/internal/dist"
+	"lrd/internal/numerics"
 )
 
 // TestFormatMarginalRoundTrip: FormatMarginal must be a value-exact inverse
@@ -60,5 +61,42 @@ func TestFormatMarginalSecondGeneration(t *testing.T) {
 	}
 	if s2 := FormatMarginal(back); s2 != s1 {
 		t.Fatalf("second-generation drift: %q -> %q", s1, s2)
+	}
+}
+
+func TestParseMarginal(t *testing.T) {
+	m, err := ParseMarginal("0:0.5,2:0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Len() != 2 || m.Rate(0) != 0 || m.Rate(1) != 2 {
+		t.Fatalf("parsed %v", m)
+	}
+	if !numerics.AlmostEqual(m.Mean(), 1, 1e-12) {
+		t.Fatalf("mean = %v", m.Mean())
+	}
+}
+
+func TestParseMarginalRenormalizes(t *testing.T) {
+	// NewMarginal rejects non-unit mass, so mismatched probabilities are
+	// an error rather than silently renormalized.
+	if _, err := ParseMarginal("1:0.3,2:0.3"); err == nil {
+		t.Fatal("want error for probabilities not summing to 1")
+	}
+}
+
+func TestParseMarginalErrors(t *testing.T) {
+	cases := []string{
+		"",
+		"1",
+		"1:2:3",
+		"x:0.5,2:0.5",
+		"1:y,2:0.5",
+		"1:-0.5,2:1.5",
+	}
+	for _, c := range cases {
+		if _, err := ParseMarginal(c); err == nil {
+			t.Errorf("ParseMarginal(%q) accepted", c)
+		}
 	}
 }
