@@ -1,10 +1,10 @@
 // Command lrdfit runs the paper's trace→prediction pipeline end to end:
 // ingest a binned rate trace, fit the model ingredients (histogram
 // marginal, mean-epoch θ calibration, Hurst estimation with every
-// estimator reporting independently), realize any registered traffic model
-// from the fit, and answer a queueing question about it — a forward loss
-// prediction, or the inverse capacity-planning solve "what is the minimal
-// buffer (or service rate) meeting a loss SLO?".
+// estimator reporting independently), build the fitted queue from the fit
+// reply as any registered traffic model, and answer a queueing question
+// about it — a forward loss prediction, or the inverse capacity-planning
+// solve "what is the minimal buffer (or service rate) meeting a loss SLO?".
 //
 // Input (one of):
 //
@@ -147,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail("fit: %v", err)
 	}
-	out := output{Fit: res.Response}
+	out := output{Fit: res}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -157,17 +157,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := solver.Config{RelGap: *relGap, MaxBins: *maxBins, Recorder: cli.Recorder()}
 
 	// Stage 3 (optional): predict. Forward solve at a given buffer, inverse
-	// solve to a given SLO, or both when both dimensions are pinned.
+	// solve to a given SLO, or both when both dimensions are pinned. The
+	// fitted queue is built from the fit reply, as an lrdserve client does.
 	wantSolve := *buffer > 0 && *sloTarget != core.TargetService
 	if wantSolve || *slo > 0 {
-		// The operating point of the fitted queue. The util/service rule is
-		// checked here as well as in Queue because the inverse solve takes
-		// both fields unbuilt.
-		q := api.SolveRequest{Util: *util, Service: *service, Buffer: *buffer}
+		q := res.SolveRequest(*util, *buffer)
+		q.Service = *service
+		// The util/service rule is checked here as well as in Queue because
+		// the inverse solve takes both fields unbuilt.
 		if q.Util != 0 && q.Service != 0 {
 			return fail("give either util or service, not both")
 		}
-		src, err := res.Realize()
+		_, src, err := q.Source()
 		if err != nil {
 			return fail("%v", err)
 		}
@@ -184,26 +185,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 			out.Solve = &solve
 		}
 		if *slo > 0 {
-			prov, err := core.Provision(ctx, src, core.ProvisionOptions{
-				Target:  *sloTarget,
-				SLO:     *slo,
-				Util:    *util,
-				Service: *service,
-				Buffer:  *buffer,
-				Min:     *sloMin,
-				Max:     *sloMax,
-				Tol:     *sloTol,
-				Solver:  cfg,
-			})
+			preq := api.ProvisionRequest{
+				SolveRequest: q,
+				SLO:          *slo,
+				Target:       *sloTarget,
+				Min:          *sloMin,
+				Max:          *sloMax,
+				Tol:          *sloTol,
+			}
+			prov, err := core.Provision(ctx, src, preq.Options(cfg))
 			if err != nil {
 				return fail("provision: %v", err)
 			}
-			out.Provision = &api.ProvisionResponse{
-				Target: prov.Target, Value: prov.Value, Loss: prov.Loss,
-				Bracket: prov.Bracket, BracketLoss: prov.BracketLoss,
-				SLO: *slo, Util: prov.Util,
-				Solves: prov.Solves, WarmSolves: prov.WarmSolves,
-			}
+			resp := api.NewProvisionResponse(prov, *slo)
+			out.Provision = &resp
 		}
 	}
 
@@ -214,7 +209,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	report(stdout, tr, res, out)
+	report(stdout, tr, out)
 	return 0
 }
 
@@ -255,7 +250,7 @@ func loadTrace(csvPath, gen string, seed int64, genHurst, genMean, genCov float6
 
 // report renders the human-readable pipeline summary: the fit with
 // per-estimator diagnostics, then whichever predictions ran.
-func report(w io.Writer, tr traces.Trace, res *fit.Result, out output) {
+func report(w io.Writer, tr traces.Trace, out output) {
 	f := out.Fit
 	fmt.Fprintf(w, "trace      %s: %d × %.4g s, mean rate %.6g\n", tr.Name, f.Samples, f.BinWidth, f.MeanRate)
 	fmt.Fprintf(w, "fit        H=%.3f (%s), alpha=%.4g, theta=%.4g, mean epoch %.4g s\n",

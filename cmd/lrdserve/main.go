@@ -144,10 +144,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cfg.Status = fleetstatus.New(*jflags.Path, fleetstatus.Options{})
 	}
 	// Fleet mode (-worker-id) shares the journal through the lease store,
-	// which then doubles as the cache journal; otherwise the journal (if
-	// any) is this replica's private cache log. The nil checks before the
-	// interface assignments matter: a nil *JournalStore stuffed into the
-	// CacheJournal interface would not compare equal to nil inside serve.
+	// which coordinates solves across the replicas on it; otherwise the
+	// journal (if any) is this replica's private cache log. The nil checks
+	// before the interface assignments matter: a nil *JournalStore stuffed
+	// into the CacheJournal interface would not compare equal to nil inside
+	// serve.
 	leases, err := lease.Open("lrdserve", jflags, cli.Recorder(), warn)
 	if err != nil {
 		logger.Error(err.Error())
@@ -157,7 +158,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		defer leases.Close()
 		stopHeartbeat := leases.StartHeartbeat(ctx)
 		defer stopHeartbeat()
-		cfg.Leases = leases
+		cfg.Journal = leases
 	} else {
 		store, err := jflags.Open("lrdserve", cli.Recorder(), warn)
 		if err != nil {

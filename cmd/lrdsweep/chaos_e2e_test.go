@@ -76,6 +76,37 @@ func counter(t *testing.T, path, name string) float64 {
 	return snap.Counters[name]
 }
 
+// TestFleetRunMatchesLocal: a -fleet sweep writes the TSV a local run of
+// the same model writes, byte for byte. The replica realizes and solves
+// each cell; the client places the reply's bracket at the cell's reference
+// coordinates without realizing the model itself.
+func TestFleetRunMatchesLocal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real (quick) sweeps against an in-process replica")
+	}
+	url, _ := startReplica(t)
+	dir := t.TempDir()
+	for _, model := range []string{"mmfq", "markov"} {
+		tsv := func(extra ...string) []byte {
+			t.Helper()
+			path := filepath.Join(dir, fmt.Sprintf("%s.%d.tsv", model, len(extra)))
+			args := append([]string{"-exp", "fig4", "-quick", "-seed", "3", "-model", model, "-out", path}, extra...)
+			if code, _, stderr := runCapture(args...); code != 0 {
+				t.Fatalf("%v: exit %d, stderr: %s", args, code, stderr)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return raw
+		}
+		local, remote := tsv(), tsv("-fleet", url)
+		if !bytes.Equal(local, remote) {
+			t.Errorf("-model %s: fleet TSV differs from the local run:\n--- fleet ---\n%s\n--- local ---\n%s", model, remote, local)
+		}
+	}
+}
+
 // TestChaosFleetByteIdentity is the resilience end-to-end: a 4-worker
 // distributed sweep whose fleet list leads with a chaos proxy (every
 // connection through it is reset or truncated, all of them delayed) must

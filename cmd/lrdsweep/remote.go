@@ -18,8 +18,8 @@ import (
 // client. The request ships the reference source's exact parameters (alpha
 // rather than the derived Hurst, the normalized marginal in shortest
 // round-trippable form), so the replica reconstructs bit-identical solver
-// inputs; the returned Point is populated exactly as the local solveCell
-// would populate it.
+// inputs; the returned Point carries the reply's bracket, which the sweep
+// places at the cell's coordinates.
 func remoteSolver(client *resilient.Client) core.RemoteSolveFunc {
 	typed := api.NewClient(client)
 	return func(ctx context.Context, cell core.RemoteCell) (core.Point, error) {
@@ -44,24 +44,12 @@ func remoteSolver(client *resilient.Client) core.RemoteSolveFunc {
 		if err != nil {
 			return core.Point{}, fmt.Errorf("remote solve: %w", err)
 		}
-		// Realize the model locally (cheap: no solving) so the Point carries
-		// the same reference Cutoff/Hurst coordinates solveCell reports —
-		// remote cells must land in the same table rows as local ones.
-		src, err := cell.Model.Realize(cell.Ref)
-		if err != nil {
-			return core.Point{}, err
-		}
 		return core.Point{
-			NormalizedBuffer: cell.NormalizedBuffer,
-			Cutoff:           src.Cutoff(),
-			Hurst:            src.Hurst(),
-			Scale:            1,
-			Streams:          1,
-			Loss:             res.Loss,
-			Lower:            res.Lower,
-			Upper:            res.Upper,
-			Converged:        res.Converged,
-			Degraded:         solver.DegradeReason(res.Degraded),
+			Loss:      res.Loss,
+			Lower:     res.Lower,
+			Upper:     res.Upper,
+			Converged: res.Converged,
+			Degraded:  solver.DegradeReason(res.Degraded),
 		}, nil
 	}
 }

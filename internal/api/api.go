@@ -28,6 +28,7 @@ import (
 	"math"
 	"time"
 
+	"lrd/internal/core"
 	"lrd/internal/dist"
 	"lrd/internal/fluid"
 	"lrd/internal/solver"
@@ -386,6 +387,22 @@ type ProvisionRequest struct {
 	Tol float64 `json:"tol,omitempty"`
 }
 
+// Options is the inverse solve the request states, with its forward solves
+// configured by cfg.
+func (r *ProvisionRequest) Options(cfg solver.Config) core.ProvisionOptions {
+	return core.ProvisionOptions{
+		Target:  r.Target,
+		SLO:     r.SLO,
+		Util:    r.Util,
+		Service: r.Service,
+		Buffer:  r.Buffer,
+		Min:     r.Min,
+		Max:     r.Max,
+		Tol:     r.Tol,
+		Solver:  cfg,
+	}
+}
+
 // ProvisionResponse is the POST /v1/provision reply: the minimal feasible
 // value, the tightest infeasible bracket point below it, and the
 // root-find's cost diagnostics. Feasibility is decided on proven solver
@@ -415,6 +432,22 @@ type ProvisionResponse struct {
 	// occupancy vectors.
 	Solves     int `json:"solves"`
 	WarmSolves int `json:"warm_solves,omitempty"`
+}
+
+// NewProvisionResponse is the /v1/provision reply for an inverse solve's
+// answer to the loss SLO slo.
+func NewProvisionResponse(p core.Provisioned, slo float64) ProvisionResponse {
+	return ProvisionResponse{
+		Target:      p.Target,
+		Value:       p.Value,
+		Loss:        p.Loss,
+		Bracket:     p.Bracket,
+		BracketLoss: p.BracketLoss,
+		SLO:         slo,
+		Util:        p.Util,
+		Solves:      p.Solves,
+		WarmSolves:  p.WarmSolves,
+	}
 }
 
 // Error codes carried by the Error envelope's machine-readable Code field.

@@ -20,7 +20,6 @@ import (
 
 	"lrd/internal/dist"
 	"lrd/internal/fluid"
-	"lrd/internal/lrdest"
 	"lrd/internal/obs"
 	"lrd/internal/resilient"
 	"lrd/internal/solver"
@@ -40,12 +39,15 @@ type TraceModel struct {
 	MeanEpoch float64       // mean epoch duration in seconds
 }
 
-// BuildTraceModel fits the model ingredients to a trace. A positive hurst
-// imposes that value (the paper quotes its Whittle/wavelet estimates);
-// hurst <= 0 estimates it with the local Whittle estimator.
+// BuildTraceModel fits the model ingredients to a trace at the given Hurst
+// parameter in (0.5, 1) — the paper quotes its Whittle/wavelet estimates;
+// fit.Trace estimates one from the trace.
 func BuildTraceModel(tr traces.Trace, hurst float64) (TraceModel, error) {
 	if len(tr.Rates) == 0 {
 		return TraceModel{}, errors.New("core: empty trace")
+	}
+	if !(hurst > 0.5 && hurst < 1) {
+		return TraceModel{}, fmt.Errorf("core: Hurst %v outside (0.5, 1) (fit.Trace estimates one from the trace)", hurst)
 	}
 	m, err := tr.Marginal(HistogramBins)
 	if err != nil {
@@ -55,19 +57,14 @@ func BuildTraceModel(tr traces.Trace, hurst float64) (TraceModel, error) {
 	if err != nil {
 		return TraceModel{}, err
 	}
-	if hurst <= 0 {
-		hurst, err = lrdest.LocalWhittle(tr.Rates, 0)
-		if err != nil {
-			return TraceModel{}, fmt.Errorf("core: estimating Hurst: %w", err)
-		}
-	}
 	return TraceModel{Trace: tr, Marginal: m, Hurst: hurst, MeanEpoch: epoch}, nil
 }
 
 // Source builds the cutoff-correlated fluid source for this trace model
-// with the given cutoff lag (seconds; math.Inf(1) for no cutoff).
+// with the given cutoff lag (seconds; math.Inf(1) for no cutoff): α = 3−2H
+// and θ calibrated so the untruncated mean epoch matches the trace's (§III).
 func (tm TraceModel) Source(cutoff float64) (fluid.Source, error) {
-	return fluid.FromTraceStats(tm.Marginal, tm.Hurst, tm.MeanEpoch, cutoff)
+	return tm.SourceWithHurst(tm.Hurst, cutoff)
 }
 
 // SourceWithHurst builds a source with an overridden Hurst parameter but θ
@@ -382,15 +379,13 @@ func computeCell(ctx context.Context, cfg SweepConfig, fullKey string, compute f
 	}
 }
 
-// solveCell runs the solver on one parameter cell for any traffic model,
-// warm-started from seed when it is non-nil (a nil seed solves cold). It
-// returns the seed for the cell's next larger-buffer neighbor (nil when the
-// result carries no usable occupancy vectors).
+// solveCell runs the solver on one parameter cell for any traffic model
+// src realized from ref, warm-started from seed when it is non-nil (a nil
+// seed solves cold). It returns the seed for the cell's next larger-buffer
+// neighbor (nil when the result carries no usable occupancy vectors).
 // Cancellation or budget expiry never errors: the cell comes back with its
-// best-so-far bracket and a nonempty Degraded reason. The reported Cutoff
-// and Hurst are the source's *reference* coordinates (the grid cell it
-// models), so non-fluid cells land in the same table rows as fluid ones.
-func solveCell(ctx context.Context, src source.Source, util, nbuf float64, cfg solver.Config, seed *solver.Seed) (Point, *solver.Seed, error) {
+// best-so-far bracket and a nonempty Degraded reason.
+func solveCell(ctx context.Context, ref fluid.Source, src source.Source, util, nbuf float64, cfg solver.Config, seed *solver.Seed) (Point, *solver.Seed, error) {
 	m, err := solver.NewModelNormalized(src, util, nbuf)
 	if err != nil {
 		return Point{}, nil, err
@@ -399,27 +394,42 @@ func solveCell(ctx context.Context, src source.Source, util, nbuf float64, cfg s
 	if err != nil {
 		return Point{}, nil, err
 	}
-	if res.Degraded != "" && cfg.Recorder != nil {
-		cfg.Recorder.Add(obs.MetricCoreCellsDegraded, 1)
-	}
 	next := solver.SeedFromResult(m, res)
 	if next != nil && seed != nil && seed.Iterations > next.Iterations {
 		// Keep the chain head's cost as the running cold-cost estimate for
 		// the iterations-saved metric.
 		next.Iterations = seed.Iterations
 	}
+	return atReference(Point{
+		Loss:      res.Loss,
+		Lower:     res.Lower,
+		Upper:     res.Upper,
+		Converged: res.Converged,
+		Degraded:  res.Degraded,
+	}, ref, nbuf, cfg.Recorder), next, nil
+}
+
+// atReference gives a solved cell its grid coordinates: the normalized
+// buffer it was solved at and the cutoff and Hurst parameter of the
+// reference source its model was realized from, at unit scale and one
+// stream, so every traffic model's cells land in the same table rows. Only
+// the bracket of p is read. A degraded cell is counted.
+func atReference(p Point, ref fluid.Source, nbuf float64, rec obs.Recorder) Point {
+	if p.Degraded != "" && rec != nil {
+		rec.Add(obs.MetricCoreCellsDegraded, 1)
+	}
 	return Point{
 		NormalizedBuffer: nbuf,
-		Cutoff:           src.Cutoff(),
-		Hurst:            src.Hurst(),
+		Cutoff:           ref.Interarrival.Cutoff,
+		Hurst:            ref.Hurst(),
 		Scale:            1,
 		Streams:          1,
-		Loss:             res.Loss,
-		Lower:            res.Lower,
-		Upper:            res.Upper,
-		Converged:        res.Converged,
-		Degraded:         res.Degraded,
-	}, next, nil
+		Loss:             p.Loss,
+		Lower:            p.Lower,
+		Upper:            p.Upper,
+		Converged:        p.Converged,
+		Degraded:         p.Degraded,
+	}
 }
 
 // realizeModel transforms a reference fluid source into the sweep's
@@ -449,35 +459,39 @@ func realizeCell(ctx context.Context, cfg SweepConfig, ref fluid.Source, util, n
 		if err != nil {
 			return Point{}, err
 		}
-		if p.Degraded != "" && cfg.Solver.Recorder != nil {
-			cfg.Solver.Recorder.Add(obs.MetricCoreCellsDegraded, 1)
-		}
-		return p, nil
+		return atReference(p, ref, nbuf, cfg.Solver.Recorder), nil
 	}
 	s, err := realizeModel(cfg, ref)
 	if err != nil {
 		return Point{}, err
 	}
-	p, _, err := solveCell(ctx, s, util, nbuf, cfg.Solver, nil)
+	p, _, err := solveCell(ctx, ref, s, util, nbuf, cfg.Solver, nil)
 	return p, err
 }
 
-// newColumnCache memoizes per-column realized sources: a sweep realizes
-// each cutoff column's source once and shares it across the column's
-// cells. Source realization is deterministic, so the shared source is
-// bit-identical to per-cell realization — only the redundant work (trace
-// stats, correlation fits) disappears.
-func newColumnCache(n int, realize func(int) (source.Source, error)) func(int) (source.Source, error) {
+// column is one cutoff column of a loss surface: its reference source and,
+// for a local sweep, the traffic model realized from it.
+type column struct {
+	ref fluid.Source
+	src source.Source
+}
+
+// newColumnCache memoizes per-column sources: a sweep builds each cutoff
+// column's reference and realized model once and shares them across the
+// column's cells. Both are deterministic, so the shared sources are
+// bit-identical to per-cell ones — only the redundant work (trace stats,
+// correlation fits) disappears.
+func newColumnCache(n int, build func(int) (column, error)) func(int) (column, error) {
 	type entry struct {
 		once sync.Once
-		src  source.Source
+		col  column
 		err  error
 	}
 	entries := make([]entry, n)
-	return func(c int) (source.Source, error) {
+	return func(c int) (column, error) {
 		e := &entries[c]
-		e.once.Do(func() { e.src, e.err = realize(c) })
-		return e.src, e.err
+		e.once.Do(func() { e.col, e.err = build(c) })
+		return e.col, e.err
 	}
 }
 
@@ -486,10 +500,10 @@ func newColumnCache(n int, realize func(int) (source.Source, error)) func(int) (
 // utilization. On context cancellation it returns the completed cells
 // alongside the context error, so a sweep always yields its partial rows.
 //
-// Local cells share each cutoff column's realized source (bit-identical
-// results); with cfg.WarmStarts each column additionally runs as an
-// ascending-buffer warm-start chain (valid bounds, different low-order
-// digits, namespaced journal — see SweepConfig).
+// Cells share each cutoff column's reference and realized source
+// (bit-identical results); with cfg.WarmStarts each column additionally
+// runs as an ascending-buffer warm-start chain (valid bounds, different
+// low-order digits, namespaced journal — see SweepConfig).
 func LossVsBufferAndCutoff(ctx context.Context, tm TraceModel, util float64, buffers, cutoffs []float64, cfg SweepConfig) ([]Point, error) {
 	if len(buffers) == 0 || len(cutoffs) == 0 {
 		return nil, errors.New("core: empty parameter grid")
@@ -499,28 +513,26 @@ func LossVsBufferAndCutoff(ctx context.Context, tm TraceModel, util float64, buf
 	key := func(i int) string {
 		return "bufcut|u=" + fkey(util) + "|b=" + fkey(buffers[i/nc]) + "|tc=" + fkey(cutoffs[i%nc])
 	}
-	realized := newColumnCache(nc, func(c int) (source.Source, error) {
+	columns := newColumnCache(nc, func(c int) (column, error) {
 		ref, err := tm.Source(cutoffs[c])
-		if err != nil {
-			return nil, err
+		if err != nil || cfg.Remote != nil {
+			// A remote cell is realized by the fleet.
+			return column{ref: ref}, err
 		}
-		return realizeModel(cfg, ref)
+		src, err := realizeModel(cfg, ref)
+		return column{ref: ref, src: src}, err
 	})
 	compute := func(ctx context.Context, i int, seed *solver.Seed) (Point, *solver.Seed, error) {
 		b := buffers[i/nc]
-		if cfg.Remote != nil {
-			src, err := tm.Source(cutoffs[i%nc])
-			if err != nil {
-				return Point{}, nil, err
-			}
-			p, err := realizeCell(ctx, cfg, src, util, b)
-			return p, nil, err
-		}
-		s, err := realized(i % nc)
+		col, err := columns(i % nc)
 		if err != nil {
 			return Point{}, nil, err
 		}
-		return solveCell(ctx, s, util, b, cfg.Solver, seed)
+		if cfg.Remote != nil {
+			p, err := realizeCell(ctx, cfg, col.ref, util, b)
+			return p, nil, err
+		}
+		return solveCell(ctx, col.ref, col.src, util, b, cfg.Solver, seed)
 	}
 	if cfg.WarmStarts && cfg.Remote == nil {
 		// Warm results differ from cold ones in their low-order digits, so

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lrd/internal/dist"
 	"lrd/internal/numerics"
+	"lrd/internal/obs"
 	"lrd/internal/solver"
 	"lrd/internal/source"
 	"lrd/internal/traces"
@@ -60,13 +62,49 @@ func TestBuildTraceModel(t *testing.T) {
 	}
 }
 
-func TestBuildTraceModelEstimatesHurst(t *testing.T) {
-	tm, err := BuildTraceModel(quickTrace(t, 2), 0)
+// TestBuildTraceModelRejectsBadHurst: a trace model needs a Hurst parameter
+// in (0.5, 1), where α = 3 − 2H is a valid tail index; BuildTraceModel
+// estimates none (fit.Trace does), and a directly built model's source
+// checks the same range.
+func TestBuildTraceModelRejectsBadHurst(t *testing.T) {
+	tr := quickTrace(t, 2)
+	for _, h := range []float64{0.5, 1.0, 0.2, 1.5, 0, -1} {
+		if _, err := BuildTraceModel(tr, h); err == nil {
+			t.Errorf("BuildTraceModel accepted H=%v", h)
+		}
+		tm := TraceModel{Marginal: dist.MustMarginal([]float64{1}, []float64{1}), Hurst: h, MeanEpoch: 0.08}
+		if _, err := tm.Source(1); err == nil {
+			t.Errorf("Source accepted H=%v", h)
+		}
+	}
+	if _, err := BuildTraceModel(tr, 0); err == nil || !strings.Contains(err.Error(), "fit.Trace") {
+		t.Errorf("H=0 error %v does not point to fit.Trace", err)
+	}
+}
+
+// TestTraceModelSourceCalibration: a trace model's source takes α = 3 − 2H
+// and θ such that the untruncated mean epoch θ/(α−1) is the trace's (§III).
+func TestTraceModelSourceCalibration(t *testing.T) {
+	tm := TraceModel{
+		Marginal:  dist.MustMarginal([]float64{5, 15}, []float64{0.5, 0.5}),
+		Hurst:     0.9,
+		MeanEpoch: 0.08,
+	}
+	s, err := tm.Source(math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(tm.Hurst-0.85) > 0.1 {
-		t.Fatalf("estimated Hurst = %v, want ≈ 0.85", tm.Hurst)
+	if !numerics.AlmostEqual(s.Interarrival.Alpha, 1.2, 1e-12) {
+		t.Fatalf("alpha = %v", s.Interarrival.Alpha)
+	}
+	if !numerics.AlmostEqual(s.Interarrival.Theta, 0.016, 1e-12) {
+		t.Fatalf("theta = %v", s.Interarrival.Theta)
+	}
+	if !numerics.AlmostEqual(s.Interarrival.Mean(), 0.08, 1e-12) {
+		t.Fatalf("mean epoch = %v", s.Interarrival.Mean())
+	}
+	if !numerics.AlmostEqual(s.Hurst(), 0.9, 1e-12) {
+		t.Fatalf("Hurst = %v", s.Hurst())
 	}
 }
 
@@ -104,6 +142,60 @@ func TestSourceWithHurstKeepsTheta(t *testing.T) {
 	}
 	if _, err := tm.SourceWithHurst(1.2, 1); err == nil {
 		t.Fatal("want error for Hurst outside (0.5, 1)")
+	}
+}
+
+// TestSweepCellsTakeReferenceCoordinates: a cell's grid coordinates come
+// from the reference source the sweep realized its model from, never from
+// the model or a remote reply, so a local mmfq sweep and a remote sweep
+// whose replies carry only a bracket fill the fluid sweep's table rows bit
+// for bit — and a degraded remote cell is still counted.
+func TestSweepCellsTakeReferenceCoordinates(t *testing.T) {
+	tm := quickModel(t)
+	buffers := []float64{0.05, 0.2}
+	cutoffs := []float64{1, math.Inf(1)}
+	sweep := func(cfg SweepConfig) []Point {
+		t.Helper()
+		pts, err := LossVsBufferAndCutoff(context.Background(), tm, 0.8, buffers, cutoffs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pts) != len(buffers)*len(cutoffs) {
+			t.Fatalf("%d points, want %d", len(pts), len(buffers)*len(cutoffs))
+		}
+		return pts
+	}
+	fl := sweep(Sweep(fastCfg()))
+	mmfq := Sweep(fastCfg())
+	mmfq.Model = source.Spec{Name: "mmfq"}
+	reg := obs.NewRegistry()
+	remote := Sweep(fastCfg())
+	remote.Solver.Recorder = reg
+	remote.Remote = func(_ context.Context, cell RemoteCell) (Point, error) {
+		p := Point{Loss: 1e-3, Lower: 5e-4, Upper: 2e-3, Converged: true}
+		if cell.NormalizedBuffer == buffers[0] {
+			p.Degraded = solver.DegradedDeadline
+		}
+		return p, nil
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for name, pts := range map[string][]Point{"mmfq": sweep(mmfq), "remote": sweep(remote)} {
+		for i, p := range pts {
+			w := fl[i]
+			if !same(p.NormalizedBuffer, w.NormalizedBuffer) || !same(p.Cutoff, w.Cutoff) ||
+				!same(p.Hurst, w.Hurst) || !same(p.Scale, w.Scale) || p.Streams != w.Streams {
+				t.Errorf("%s cell %d at (b=%v, Tc=%v, H=%v, a=%v, n=%d), fluid at (b=%v, Tc=%v, H=%v, a=%v, n=%d)",
+					name, i, p.NormalizedBuffer, p.Cutoff, p.Hurst, p.Scale, p.Streams,
+					w.NormalizedBuffer, w.Cutoff, w.Hurst, w.Scale, w.Streams)
+			}
+		}
+	}
+	if fl[0].Hurst != tm.Hurst || fl[0].Cutoff != cutoffs[0] || fl[0].Scale != 1 || fl[0].Streams != 1 {
+		t.Errorf("fluid cell 0 at (Tc=%v, H=%v, a=%v, n=%d), want the reference's (%v, %v, 1, 1)",
+			fl[0].Cutoff, fl[0].Hurst, fl[0].Scale, fl[0].Streams, cutoffs[0], tm.Hurst)
+	}
+	if got := reg.CounterValue(obs.MetricCoreCellsDegraded); got != float64(len(cutoffs)) {
+		t.Errorf("%s = %v, want %d degraded remote cells", obs.MetricCoreCellsDegraded, got, len(cutoffs))
 	}
 }
 

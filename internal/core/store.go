@@ -284,9 +284,10 @@ type RemoteCell struct {
 	Config           solver.Config
 }
 
-// RemoteSolveFunc computes one cell remotely. The returned Point must be
-// populated exactly as solveCell would (reference Hurst/Cutoff coordinates,
-// Scale 1, Streams 1) so remote sweeps stay bit-compatible with local ones.
+// RemoteSolveFunc computes one cell remotely. Only the bracket of the
+// returned Point is read (Loss, Lower, Upper, Converged, Degraded): the
+// sweep places it at the cell's coordinates itself, as it does a local
+// solve, so remote sweeps stay bit-compatible with local ones.
 type RemoteSolveFunc func(ctx context.Context, cell RemoteCell) (Point, error)
 
 // Sweep wraps a bare solver configuration into a SweepConfig with no

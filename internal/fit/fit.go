@@ -1,19 +1,17 @@
 // Package fit is the trace→model pipeline: it turns a binned rate trace
 // into the paper's fitted queue description — §III's recipe end to end
 // (histogram marginal, mean-epoch θ calibration, Hurst estimation with
-// every estimator reporting independently) — packaged as the /v1/fit wire
-// response so the lrdfit CLI and the lrdserve endpoint share one
-// implementation. The output plugs directly into a solve or provision
-// request; Reference and Realize rebuild the solvable source locally.
+// every estimator reporting independently) — as the /v1/fit reply, so the
+// lrdfit CLI and the lrdserve endpoint share one implementation. The reply
+// plugs directly into a solve or provision request: its SolveRequest
+// method builds the fitted queue exactly as an lrdserve client does.
 package fit
 
 import (
-	"fmt"
 	"math"
 
 	"lrd/internal/api"
 	"lrd/internal/dist"
-	"lrd/internal/fluid"
 	"lrd/internal/lrdest"
 	"lrd/internal/source"
 	"lrd/internal/traces"
@@ -51,42 +49,15 @@ type Options struct {
 	Model source.Spec
 }
 
-// Result is a completed fit: the wire response plus the parsed ingredients
-// a local caller needs to rebuild the solvable source without re-parsing
-// the wire marginal.
-type Result struct {
-	Response  api.FitResponse
-	Marginal  dist.Marginal
-	MeanEpoch float64
-	// Hurst is the clamped estimate the model uses; Cutoff the resolved
-	// lag (math.Inf(1) when the request said infinite).
-	Hurst  float64
-	Cutoff float64
-}
-
-// Reference builds the fitted cutoff-Pareto fluid source.
-func (r *Result) Reference() (fluid.Source, error) {
-	return fluid.FromTraceStats(r.Marginal, r.Hurst, r.MeanEpoch, r.Cutoff)
-}
-
-// Realize builds the fitted source transformed into the target registry
-// model (Options.Model; fluid when none was given).
-func (r *Result) Realize() (source.Source, error) {
-	ref, err := r.Reference()
-	if err != nil {
-		return nil, err
-	}
-	return r.Response.Model.Realize(ref)
-}
-
-// Trace fits the model ingredients to a trace. Estimation failures carry
-// api.CodeEstimation; everything else is a bad-request-shaped input error.
-func Trace(tr traces.Trace, opts Options) (*Result, error) {
+// Trace fits the model ingredients to a trace and returns the /v1/fit
+// reply. Estimation failures carry api.CodeEstimation; everything else is
+// a bad-request-shaped input error.
+func Trace(tr traces.Trace, opts Options) (api.FitResponse, error) {
 	if len(tr.Rates) == 0 {
-		return nil, api.Errorf(api.CodeBadRequest, "empty trace")
+		return api.FitResponse{}, api.Errorf(api.CodeBadRequest, "empty trace")
 	}
 	if tr.BinWidth <= 0 {
-		return nil, api.Errorf(api.CodeBadRequest, "trace bin width must be positive, got %g", tr.BinWidth)
+		return api.FitResponse{}, api.Errorf(api.CodeBadRequest, "trace bin width must be positive, got %g", tr.BinWidth)
 	}
 	bins := opts.Bins
 	if bins <= 0 {
@@ -94,32 +65,26 @@ func Trace(tr traces.Trace, opts Options) (*Result, error) {
 	}
 	marg, err := tr.Marginal(bins)
 	if err != nil {
-		return nil, api.Errorf(api.CodeEstimation, "fitting marginal: %v", err)
+		return api.FitResponse{}, api.Errorf(api.CodeEstimation, "fitting marginal: %v", err)
 	}
 	epoch, err := tr.MeanEpoch(bins)
 	if err != nil {
-		return nil, api.Errorf(api.CodeEstimation, "extracting mean epoch: %v", err)
+		return api.FitResponse{}, api.Errorf(api.CodeEstimation, "extracting mean epoch: %v", err)
 	}
 
 	est := lrdest.EstimateAll(tr.Rates)
 	raw, chosen, err := chooseHurst(est, opts)
 	if err != nil {
-		return nil, err
+		return api.FitResponse{}, err
 	}
 	h := math.Min(math.Max(raw, MinHurst), MaxHurst)
 	alpha := dist.AlphaFromHurst(h)
 	theta, err := dist.CalibrateTheta(alpha, epoch)
 	if err != nil {
-		return nil, api.Errorf(api.CodeEstimation, "calibrating theta from mean epoch %g s: %v", epoch, err)
+		return api.FitResponse{}, api.Errorf(api.CodeEstimation, "calibrating theta from mean epoch %g s: %v", epoch, err)
 	}
-
-	cutoff := opts.Cutoff
-	if cutoff < 0 {
-		return nil, api.Errorf(api.CodeBadRequest, "cutoff must be >= 0, got %g", cutoff)
-	}
-	resolved := cutoff
-	if resolved == 0 {
-		resolved = math.Inf(1)
+	if opts.Cutoff < 0 {
+		return api.FitResponse{}, api.Errorf(api.CodeBadRequest, "cutoff must be >= 0, got %g", opts.Cutoff)
 	}
 
 	estimates := make(map[string]api.EstimatorResult, 5)
@@ -131,26 +96,20 @@ func Trace(tr traces.Trace, opts Options) (*Result, error) {
 		estimates[ne.Name] = api.EstimatorResult{Hurst: ne.H}
 	}
 
-	return &Result{
-		Response: api.FitResponse{
-			Samples:   len(tr.Rates),
-			BinWidth:  tr.BinWidth,
-			MeanRate:  tr.MeanRate(),
-			MeanEpoch: epoch,
-			Hurst:     h,
-			RawHurst:  raw,
-			Estimator: chosen,
-			Alpha:     alpha,
-			Theta:     theta,
-			Cutoff:    cutoff,
-			Marginal:  source.FormatMarginal(marg),
-			Model:     opts.Model,
-			Estimates: estimates,
-		},
-		Marginal:  marg,
+	return api.FitResponse{
+		Samples:   len(tr.Rates),
+		BinWidth:  tr.BinWidth,
+		MeanRate:  tr.MeanRate(),
 		MeanEpoch: epoch,
 		Hurst:     h,
-		Cutoff:    resolved,
+		RawHurst:  raw,
+		Estimator: chosen,
+		Alpha:     alpha,
+		Theta:     theta,
+		Cutoff:    opts.Cutoff,
+		Marginal:  source.FormatMarginal(marg),
+		Model:     opts.Model,
+		Estimates: estimates,
 	}, nil
 }
 
@@ -210,12 +169,4 @@ func FromRequest(req api.FitRequest) (traces.Trace, Options, error) {
 		Model:     req.Model,
 	}
 	return tr, opts, nil
-}
-
-// String renders the fit like the lrdtrace report (one line per fact), for
-// the CLI's human output.
-func (r *Result) String() string {
-	f := r.Response
-	return fmt.Sprintf("samples %d × %.4g s, mean rate %.6g, mean epoch %.4g s, H=%.3f (%s, raw %.3f), alpha=%.3f, theta=%.4g",
-		f.Samples, f.BinWidth, f.MeanRate, f.MeanEpoch, f.Hurst, f.Estimator, f.RawHurst, f.Alpha, f.Theta)
 }

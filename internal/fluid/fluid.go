@@ -38,24 +38,6 @@ func New(marginal dist.Marginal, inter dist.TruncatedPareto) (Source, error) {
 	return Source{Marginal: marginal, Interarrival: inter}, nil
 }
 
-// FromTraceStats builds a Source the way the paper fits its traces (§III):
-// the marginal comes from a constant-bin histogram of the trace, the tail
-// index is α = 3 − 2H from the estimated Hurst parameter, and θ is set so
-// that the untruncated mean interarrival time θ/(α−1) matches the trace's
-// mean epoch duration. cutoff is the correlation cutoff lag Tc in seconds
-// (math.Inf(1) for the fully self-similar case).
-func FromTraceStats(marginal dist.Marginal, hurst, meanEpoch, cutoff float64) (Source, error) {
-	if !(hurst > 0.5 && hurst < 1) {
-		return Source{}, fmt.Errorf("fluid: Hurst parameter %v outside (0.5, 1)", hurst)
-	}
-	alpha := dist.AlphaFromHurst(hurst)
-	theta, err := dist.CalibrateTheta(alpha, meanEpoch)
-	if err != nil {
-		return Source{}, err
-	}
-	return New(marginal, dist.TruncatedPareto{Theta: theta, Alpha: alpha, Cutoff: cutoff})
-}
-
 // WithCutoff returns a copy of s with the interarrival cutoff lag replaced,
 // leaving θ and α unchanged. This is the knob swept in the paper's first
 // experiment set (Figs. 4, 5, 9).

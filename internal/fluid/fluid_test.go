@@ -29,36 +29,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestFromTraceStatsCalibration(t *testing.T) {
-	m := dist.MustMarginal([]float64{5, 15}, []float64{0.5, 0.5})
-	s, err := FromTraceStats(m, 0.9, 0.08, math.Inf(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !numerics.AlmostEqual(s.Interarrival.Alpha, 1.2, 1e-12) {
-		t.Fatalf("alpha = %v", s.Interarrival.Alpha)
-	}
-	if !numerics.AlmostEqual(s.Interarrival.Theta, 0.016, 1e-12) {
-		t.Fatalf("theta = %v", s.Interarrival.Theta)
-	}
-	// The untruncated mean epoch must match the input.
-	if !numerics.AlmostEqual(s.Interarrival.Mean(), 0.08, 1e-12) {
-		t.Fatalf("mean epoch = %v", s.Interarrival.Mean())
-	}
-	if !numerics.AlmostEqual(s.Hurst(), 0.9, 1e-12) {
-		t.Fatalf("Hurst = %v", s.Hurst())
-	}
-}
-
-func TestFromTraceStatsRejectsBadHurst(t *testing.T) {
-	m := dist.MustMarginal([]float64{1}, []float64{1})
-	for _, h := range []float64{0.5, 1.0, 0.2, 1.5} {
-		if _, err := FromTraceStats(m, h, 0.08, 1); err == nil {
-			t.Errorf("H=%v accepted", h)
-		}
-	}
-}
-
 func TestWithCutoffAndMarginal(t *testing.T) {
 	s := testSource(t)
 	s2 := s.WithCutoff(3)
@@ -123,7 +93,12 @@ func TestAutocorrelationNormalized(t *testing.T) {
 func TestAsymptoticSelfSimilarDecay(t *testing.T) {
 	// With Tc = ∞, log φ(t) vs log t should have slope ≈ −(2−2H) at large t.
 	m := dist.MustMarginal([]float64{0, 1}, []float64{0.5, 0.5})
-	s, err := FromTraceStats(m, 0.9, 0.05, math.Inf(1))
+	alpha := dist.AlphaFromHurst(0.9)
+	theta, err := dist.CalibrateTheta(alpha, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(m, dist.TruncatedPareto{Theta: theta, Alpha: alpha, Cutoff: math.Inf(1)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		s.failCode(w, status, kind, api.CodeBadRequest, err)
 		return
 	}
-	body, err := json.Marshal(res.Response)
+	body, err := json.Marshal(res)
 	if err != nil {
 		finish(http.StatusInternalServerError, "")
 		s.failCode(w, http.StatusInternalServerError, "encode", api.CodeInternal, fmt.Errorf("encoding response: %w", err))
@@ -94,17 +94,7 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 		s.failCode(w, http.StatusBadRequest, "bad_request", api.CodeBadRequest, err)
 		return
 	}
-	opts := core.ProvisionOptions{
-		Target:  req.Target,
-		SLO:     req.SLO,
-		Util:    req.Util,
-		Service: req.Service,
-		Buffer:  req.Buffer,
-		Min:     req.Min,
-		Max:     req.Max,
-		Tol:     req.Tol,
-		Solver:  solverConfig(&req.SolveRequest, s.cfg.Solver),
-	}
+	opts := req.Options(solverConfig(&req.SolveRequest, s.cfg.Solver))
 	opts.Solver.Recorder = s.reg
 
 	release, status, body := s.admit(ctx)
@@ -122,11 +112,7 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 	// (the per-solve degradation machinery is disabled inside Provision: a
 	// budget-degraded loss would provision against the budget, not the
 	// queue).
-	budget := time.Duration(req.Solver.Timeout)
-	if s.cfg.RequestTimeout > 0 && (budget <= 0 || budget > s.cfg.RequestTimeout) {
-		budget = s.cfg.RequestTimeout
-	}
-	if budget > 0 {
+	if budget := s.budget(&req.SolveRequest); budget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
@@ -151,17 +137,7 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	body, merr := json.Marshal(api.ProvisionResponse{
-		Target:      prov.Target,
-		Value:       prov.Value,
-		Loss:        prov.Loss,
-		Bracket:     prov.Bracket,
-		BracketLoss: prov.BracketLoss,
-		SLO:         req.SLO,
-		Util:        prov.Util,
-		Solves:      prov.Solves,
-		WarmSolves:  prov.WarmSolves,
-	})
+	body, merr := json.Marshal(api.NewProvisionResponse(prov, req.SLO))
 	if merr != nil {
 		finish(http.StatusInternalServerError, "")
 		s.failCode(w, http.StatusInternalServerError, "encode", api.CodeInternal, fmt.Errorf("encoding response: %w", merr))

@@ -70,17 +70,14 @@ type Config struct {
 	// Journal, when non-nil, persists the solve cache: every cache fill is
 	// appended, and New warm-loads the journal's serve entries (keys are
 	// namespaced, so sweep journals pass through harmlessly). Open it with
-	// resume to get the warm start. Both *core.JournalStore (single
-	// replica) and *core.LeaseStore (shared across a fleet) satisfy it.
+	// resume to get the warm start. A *core.JournalStore serves a single
+	// replica. A journal that is also a core.LeaseClaimer (*core.LeaseStore,
+	// shared across a fleet) coordinates solves between the replicas on it:
+	// before computing, a singleflight leader leases the request key, and a
+	// replica that finds another replica's lease blocks until that
+	// replica's result lands, then adopts it (X-Lrd-Cache: adopted) — the
+	// cross-process generalization of singleflight.
 	Journal CacheJournal
-	// Leases, when non-nil, coordinates solves across a fleet of replicas
-	// sharing one journal: before computing, a singleflight leader leases
-	// the request key, and a replica that finds another replica's lease
-	// blocks until that replica's result lands, then adopts it
-	// (X-Lrd-Cache: adopted) — the cross-process generalization of
-	// singleflight. When Leases is set and Journal is nil, the lease store
-	// doubles as the cache journal.
-	Leases *core.LeaseStore
 	// Registry receives the serve metrics and backs /metrics. New creates
 	// one when nil.
 	Registry *obs.Registry
@@ -160,9 +157,6 @@ type Server struct {
 // one is attached.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	if cfg.Journal == nil && cfg.Leases != nil {
-		cfg.Journal = cfg.Leases
-	}
 	s := &Server{
 		cfg:     cfg,
 		reg:     cfg.Registry,
@@ -437,6 +431,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, "", body)
 }
 
+// budget is a request's wall-clock budget: its own timeout clamped to the
+// server's request timeout, zero when neither is set.
+func (s *Server) budget(req *api.SolveRequest) time.Duration {
+	budget := time.Duration(req.Solver.Timeout)
+	if s.cfg.RequestTimeout > 0 && (budget <= 0 || budget > s.cfg.RequestTimeout) {
+		budget = s.cfg.RequestTimeout
+	}
+	return budget
+}
+
 // retryAfterSeconds renders the configured 429 hint for a Retry-After
 // header (whole seconds, rounded up).
 func (s *Server) retryAfterSeconds() string {
@@ -496,17 +500,17 @@ func (s *Server) solveOne(ctx context.Context, req api.SolveRequest, job solveJo
 	return f.status, disposition, f.body
 }
 
-// leaseAndSolve is the singleflight leader's path. With a fleet lease
-// store attached it first claims the key across replicas: if another
+// leaseAndSolve is the singleflight leader's path. When the journal is a
+// fleet lease store it first claims the key across replicas: if another
 // replica already completed it the result is adopted; if another replica
 // holds the lease, this one blocks (bounded by ctx) and then adopts. Only
 // the lease holder proceeds to admission and the solve; a solve that does
 // not converge releases the lease so a peer (or retry) can take the key
 // over, while a converged solve's journal append consumes it.
 func (s *Server) leaseAndSolve(ctx context.Context, req api.SolveRequest, job solveJob, disposition *string) (int, []byte) {
-	if s.cfg.Leases != nil {
+	if claimer, leased := s.cfg.Journal.(core.LeaseClaimer); leased {
 		leaseCtx, finishLease := obs.StartSpan(ctx, "lease.acquire")
-		raw, acquired, err := s.cfg.Leases.Acquire(leaseCtx, job.key)
+		raw, acquired, err := claimer.Acquire(leaseCtx, job.key)
 		if obs.Traced(ctx) {
 			finishLease(map[string]string{"key": job.key, "acquired": strconv.FormatBool(acquired)})
 		}
@@ -528,7 +532,7 @@ func (s *Server) leaseAndSolve(ctx context.Context, req api.SolveRequest, job so
 		}
 		// Store consumes the lease when the result journals; every other
 		// outcome hands it back so peers need not wait out the TTL.
-		defer s.cfg.Leases.Release(job.key)
+		defer claimer.Release(job.key)
 	}
 	return s.admitAndSolve(ctx, req, job)
 }
@@ -592,11 +596,7 @@ func (s *Server) admitAndSolve(ctx context.Context, req api.SolveRequest, job so
 	// the solve when the client goes away.
 	cfg := solverConfig(&req, s.cfg.Solver)
 	cfg.Recorder = s.reg
-	budget := time.Duration(req.Solver.Timeout)
-	if s.cfg.RequestTimeout > 0 && (budget <= 0 || budget > s.cfg.RequestTimeout) {
-		budget = s.cfg.RequestTimeout
-	}
-	cfg.MaxDuration = budget
+	cfg.MaxDuration = s.budget(&req)
 
 	s.solves.Add(1)
 	solveStart := time.Now()

@@ -115,8 +115,8 @@ func TestSweepFleetSplitsAcrossReplicas(t *testing.T) {
 		t.Cleanup(func() { st.Close() })
 		return st
 	}
-	s1 := New(Config{Leases: openStore("replica-1")})
-	s2 := New(Config{Leases: openStore("replica-2")})
+	s1 := New(Config{Journal: openStore("replica-1")})
+	s2 := New(Config{Journal: openStore("replica-2")})
 	ts1 := httptest.NewServer(s1.Handler())
 	defer ts1.Close()
 	ts2 := httptest.NewServer(s2.Handler())
@@ -165,7 +165,7 @@ func TestSweepFleetSplitsAcrossReplicas(t *testing.T) {
 
 	// A third replica starting later warm-loads every completed cell from
 	// the shared journal into its cache.
-	s3 := New(Config{Leases: openStore("replica-3")})
+	s3 := New(Config{Journal: openStore("replica-3")})
 	ts3 := httptest.NewServer(s3.Handler())
 	defer ts3.Close()
 	_, sr3 := postSweep(t, ts3, sweep)

@@ -57,7 +57,13 @@ func accuracyCases(t *testing.T) []accuracyCase {
 			out = append(out, accuracyCase{name: fmt.Sprintf("mtv/b=%g/tc=%g", b, tc), m: m, heavy: b > 0.01})
 		}
 	}
-	ref, err := fluid.FromTraceStats(dist.MustMarginal([]float64{0, 1, 2.5}, []float64{0.3, 0.4, 0.3}), 0.8, 0.05, 1)
+	alpha := dist.AlphaFromHurst(0.8)
+	theta, err := dist.CalibrateTheta(alpha, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := fluid.New(dist.MustMarginal([]float64{0, 1, 2.5}, []float64{0.3, 0.4, 0.3}),
+		dist.TruncatedPareto{Theta: theta, Alpha: alpha, Cutoff: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

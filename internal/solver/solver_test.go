@@ -29,7 +29,13 @@ func videoSource(t *testing.T, cutoff float64) fluid.Source {
 		[]float64{4, 6, 8, 10, 12, 14, 16},
 		[]float64{0.05, 0.15, 0.25, 0.25, 0.18, 0.08, 0.04},
 	)
-	src, err := fluid.FromTraceStats(m, 0.83, 0.08, cutoff)
+	// H = 0.83 and θ matched to a 0.08 s mean epoch, as a trace fit sets them.
+	alpha := dist.AlphaFromHurst(0.83)
+	theta, err := dist.CalibrateTheta(alpha, 0.08)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := fluid.New(m, dist.TruncatedPareto{Theta: theta, Alpha: alpha, Cutoff: cutoff})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,11 +89,9 @@ func buildOnOff(ref fluid.Source, p Params) (Source, error) {
 		return nil, err
 	}
 	return generic{
-		name:   fmt.Sprintf("onoff{peak=%g, θ=%gs, α=%g, Tc=%gs}", peak, iv.Theta, iv.Alpha, iv.Cutoff),
-		marg:   m,
-		iv:     iv,
-		hurst:  ref.Hurst(),
-		cutoff: ref.Interarrival.Cutoff,
+		name: fmt.Sprintf("onoff{peak=%g, θ=%gs, α=%g, Tc=%gs}", peak, iv.Theta, iv.Alpha, iv.Cutoff),
+		marg: m,
+		iv:   iv,
 	}, nil
 }
 
@@ -143,11 +141,9 @@ func buildMarkov(ref fluid.Source, p Params) (Source, error) {
 	}
 	return markovSource{
 		generic: generic{
-			name:   fmt.Sprintf("markov{horizon=%g, %d components, %v}", horizon, len(comps), iv),
-			marg:   ref.Marginal,
-			iv:     iv,
-			hurst:  ref.Hurst(),
-			cutoff: ref.Interarrival.Cutoff,
+			name: fmt.Sprintf("markov{horizon=%g, %d components, %v}", horizon, len(comps), iv),
+			marg: ref.Marginal,
+			iv:   iv,
 		},
 		comps:   comps,
 		fitErr:  markov.MaxError(ref.Interarrival.ResidualCCDF, comps, horizon, 400),
@@ -205,11 +201,9 @@ func buildMMFQ(ref fluid.Source, p Params) (Source, error) {
 	}
 	return mmfqSource{
 		generic: generic{
-			name:   fmt.Sprintf("mmfq{epoch=%gs, %d levels}", epoch, ref.Marginal.Len()),
-			marg:   ref.Marginal,
-			iv:     iv,
-			hurst:  ref.Hurst(),
-			cutoff: ref.Interarrival.Cutoff,
+			name: fmt.Sprintf("mmfq{epoch=%gs, %d levels}", epoch, ref.Marginal.Len()),
+			marg: ref.Marginal,
+			iv:   iv,
 		},
 		epoch: epoch,
 	}, nil
@@ -271,11 +265,9 @@ func buildAMS(ref fluid.Source, p Params) (Source, error) {
 	}
 	return amsSource{
 		generic: generic{
-			name:   fmt.Sprintf("ams{peak=%g, p(on)=%g, epoch=%gs}", peak, pOn, epoch),
-			marg:   m,
-			iv:     iv,
-			hurst:  ref.Hurst(),
-			cutoff: ref.Interarrival.Cutoff,
+			name: fmt.Sprintf("ams{peak=%g, p(on)=%g, epoch=%gs}", peak, pOn, epoch),
+			marg: m,
+			iv:   iv,
 		},
 		peak:  peak,
 		pOn:   pOn,

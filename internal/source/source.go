@@ -15,9 +15,9 @@
 // and a Markov-modulated fluid baseline with an exact analytic oracle.
 //
 // A Source exposes exactly what solver.Model construction consumes — the
-// marginal rate distribution and the epoch-length (interarrival) law — plus
-// the reference metadata (Hurst, cutoff) the sweep tables report, so a
-// non-fluid cell still lands in the right row of a cutoff or Hurst grid.
+// marginal rate distribution and the epoch-length (interarrival) law. A
+// realized model is solver input only: the reference it was built from
+// keeps the grid coordinates (Hurst, cutoff) a sweep reports.
 package source
 
 import (
@@ -29,13 +29,10 @@ import (
 	"lrd/internal/fluid"
 )
 
-// Source is the solver- and sweep-facing contract of a traffic model. The
-// first three methods are the solver's ingredients (what solver.Model
-// construction consumes, factored out of fluid.Source); Hurst and Cutoff
-// are the *reference coordinates* of the fit the model was built from —
-// the grid coordinates a sweep reports — not necessarily properties of the
-// transformed law (a Markovian fit has no true cutoff, but it still
-// belongs to the cutoff cell it models).
+// Source is the solver-facing contract of a traffic model: the
+// ingredients solver.Model construction consumes (factored out of
+// fluid.Source), plus a summary for listings. Its rate autocorrelation is
+// the epoch law's residual-life ccdf (Eq. 3), Interarrival().ResidualCCDF.
 type Source interface {
 	// Marginal is the stationary fluid-rate distribution (Λ, Π).
 	Marginal() dist.Marginal
@@ -43,14 +40,6 @@ type Source interface {
 	Interarrival() dist.Interarrival
 	// MeanRate returns λ̄, the stationary mean fluid rate.
 	MeanRate() float64
-	// Hurst returns the nominal Hurst parameter of the reference fit.
-	Hurst() float64
-	// Cutoff returns the reference correlated range Tc in seconds
-	// (math.Inf(1) for the fully correlated case).
-	Cutoff() float64
-	// Autocorrelation returns the normalized rate autocorrelation r(t) of
-	// the model itself: its epoch law's residual-life ccdf (Eq. 3).
-	Autocorrelation(t float64) float64
 	// String summarizes the model and its parameters.
 	String() string
 }
@@ -84,31 +73,23 @@ type Fluid struct {
 // NewFluid wraps a fluid source.
 func NewFluid(src fluid.Source) Fluid { return Fluid{Src: src} }
 
-func (f Fluid) Marginal() dist.Marginal           { return f.Src.Marginal }
-func (f Fluid) Interarrival() dist.Interarrival   { return f.Src.Interarrival }
-func (f Fluid) MeanRate() float64                 { return f.Src.MeanRate() }
-func (f Fluid) Hurst() float64                    { return f.Src.Hurst() }
-func (f Fluid) Cutoff() float64                   { return f.Src.Interarrival.Cutoff }
-func (f Fluid) Autocorrelation(t float64) float64 { return f.Src.Autocorrelation(t) }
-func (f Fluid) String() string                    { return "fluid " + f.Src.String() }
+func (f Fluid) Marginal() dist.Marginal         { return f.Src.Marginal }
+func (f Fluid) Interarrival() dist.Interarrival { return f.Src.Interarrival }
+func (f Fluid) MeanRate() float64               { return f.Src.MeanRate() }
+func (f Fluid) String() string                  { return "fluid " + f.Src.String() }
 
 // generic is the Source implementation shared by the registered non-fluid
-// models: a (marginal, interarrival) pair carrying the reference
-// coordinates it was built at.
+// models: a named (marginal, interarrival) pair.
 type generic struct {
-	name          string
-	marg          dist.Marginal
-	iv            dist.Interarrival
-	hurst, cutoff float64
+	name string
+	marg dist.Marginal
+	iv   dist.Interarrival
 }
 
-func (g generic) Marginal() dist.Marginal           { return g.marg }
-func (g generic) Interarrival() dist.Interarrival   { return g.iv }
-func (g generic) MeanRate() float64                 { return g.marg.Mean() }
-func (g generic) Hurst() float64                    { return g.hurst }
-func (g generic) Cutoff() float64                   { return g.cutoff }
-func (g generic) Autocorrelation(t float64) float64 { return g.iv.ResidualCCDF(t) }
-func (g generic) String() string                    { return g.name }
+func (g generic) Marginal() dist.Marginal         { return g.marg }
+func (g generic) Interarrival() dist.Interarrival { return g.iv }
+func (g generic) MeanRate() float64               { return g.marg.Mean() }
+func (g generic) String() string                  { return g.name }
 
 // GenerateBinned samples a stationary path of the source over horizon
 // seconds and integrates it into bins of width binWidth, returning the

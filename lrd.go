@@ -67,6 +67,7 @@ package lrd
 
 import (
 	"lrd/internal/ams"
+	"lrd/internal/api"
 	"lrd/internal/core"
 	"lrd/internal/dist"
 	"lrd/internal/errctl"
@@ -147,9 +148,6 @@ var (
 var (
 	// NewSource builds a validated Source.
 	NewSource = fluid.New
-	// SourceFromTraceStats fits a Source from (marginal, H, mean epoch,
-	// cutoff) the way the paper fits its traces.
-	SourceFromTraceStats = fluid.FromTraceStats
 	// NewQueue builds a queue in absolute units (service rate, buffer).
 	NewQueue = solver.NewQueue
 	// NewQueueNormalized builds a queue from utilization and a normalized
@@ -300,9 +298,10 @@ type (
 	// FitOptions tunes FitTrace (histogram bins, estimator choice, Hurst
 	// override, cutoff, target model).
 	FitOptions = fit.Options
-	// FitResult is a completed fit: the wire-shaped summary plus the
-	// parsed ingredients; Reference/Realize rebuild the solvable source.
-	FitResult = fit.Result
+	// FitResult is a completed fit: the /v1/fit reply. Its SolveRequest
+	// method places the fitted queue at an operating point, and that
+	// request's Source and Queue build it.
+	FitResult = api.FitResponse
 	// ProvisionOptions states the inverse problem: the SLO, the
 	// provisioned dimension, the fixed dimension, and the search bracket.
 	ProvisionOptions = core.ProvisionOptions

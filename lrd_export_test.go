@@ -65,7 +65,6 @@ func TestExportSurfaceCompiles(t *testing.T) {
 	_ = lrd.AlphaFromHurst
 	_ = lrd.CalibrateTheta
 	_ = lrd.NewSource
-	_ = lrd.SourceFromTraceStats
 	_ = lrd.NewQueue
 	_ = lrd.NewQueueNormalized
 	_ = lrd.NewModel
