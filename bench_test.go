@@ -252,44 +252,54 @@ func BenchmarkProvision(b *testing.B) {
 	b.ReportMetric(float64(solves)/float64(b.N), "solves/op")
 }
 
+// stepBins are the resolutions of the step and kernel benchmarks: the
+// solver's default first rung, a typical converged rung, and a large one.
+var stepBins = []int{256, 1024, 4096}
+
 // BenchmarkSolverStep measures a single Lindley iteration of both bound
-// processes at M = 1024 (the per-step FFT convolution cost).
+// processes at M = 256, 1024 and 4096 (one transform pair plus the folds
+// into the end bins), 0 allocs/op.
 func BenchmarkSolverStep(b *testing.B) {
 	q := benchQueue(b, 2)
-	it, err := lrd.NewIterator(q, lrd.SolverConfig{InitialBins: 1024, MaxBins: 1024})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := it.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkConvolve measures one FFT convolution at the solver's shape, an
-// occupancy pmf of length M+1 against an increment pmf of length 2M+1, on
-// a reused Scratch (0 allocs/op) — the layer below BenchmarkSolverStep,
-// which makes two of these per step.
-func BenchmarkConvolve(b *testing.B) {
-	for _, m := range []int{256, 1024, 4096} {
+	for _, m := range stepBins {
 		b.Run(fmt.Sprintf("m%d", m), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			q, w := make([]float64, m+1), make([]float64, 2*m+1)
-			for i := range q {
-				q[i] = rng.Float64()
+			it, err := lrd.NewIterator(q, lrd.SolverConfig{InitialBins: m, MaxBins: m})
+			if err != nil {
+				b.Fatal(err)
 			}
-			for i := range w {
-				w[i] = rng.Float64()
-			}
-			var s fft.Scratch
-			fft.ConvolveRealInto(q, w, &s) // grow the buffers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				fft.ConvolveRealInto(q, w, &s)
+				if err := it.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkConvolve measures the step's kernel at the solver's shapes: two
+// occupancy pmfs of length M+1 convolved with two cached increment spectra
+// in one N = 2M-point transform pair (0 allocs/op) — the layer below
+// BenchmarkSolverStep, which makes one of these per step.
+func BenchmarkConvolve(b *testing.B) {
+	for _, m := range stepBins {
+		b.Run(fmt.Sprintf("m%d", m), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			pmf := func(n int) []float64 {
+				x := make([]float64, n)
+				for i := range x {
+					x[i] = rng.Float64()
+				}
+				return x
+			}
+			var p fft.Pair
+			p.SetKernels(2*m, pmf(2*m), pmf(2*m))
+			ql, qh := pmf(m+1), pmf(m+1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Convolve(ql, qh)
 			}
 		})
 	}

@@ -25,9 +25,9 @@ import (
 type Point string
 
 const (
-	// SolverConvolution fires on the raw FFT convolution output of every
-	// Lindley step, before boundary folding and renormalization. The
-	// corruption function receives the full convolution buffer.
+	// SolverConvolution fires on each bound process's raw stepped pmf of
+	// every Lindley step (length M+1: bin 0, the transform's window, then
+	// bin M), before clamping and renormalization.
 	SolverConvolution Point = "solver/convolution"
 	// SolverIncrementPMF fires on each freshly built rounded-increment pmf
 	// (once for the lower-rounded law, once for the upper). The corruption

@@ -1,12 +1,17 @@
-// Package fft implements the fast Fourier transform and FFT-based linear
+// Package fft implements the fast Fourier transform and FFT-based
 // convolution on float64 data using only the standard library.
 //
 // Two transform kernels are provided: an iterative radix-2
 // Cooley–Tukey transform for power-of-two lengths and Bluestein's
 // chirp-z algorithm for arbitrary lengths. Callers normally use the
-// length-agnostic Forward/Inverse entry points, or ConvolveReal for linear
-// convolution of real sequences (the operation at the heart of the paper's
-// O(M log M) queue-occupancy recursion).
+// length-agnostic Forward/Inverse entry points, ConvolveReal for the
+// linear convolution of two real sequences, or a Pair for the operation
+// at the heart of the paper's O(M log M) queue-occupancy recursion: two
+// real sequences convolved circularly with two fixed real kernels, the
+// kernels' spectra cached, both inputs packed into one forward transform
+// as x1 + i·x2 and both products into one inverse transform. Every real
+// packing is undone by one Hermitian split (split), so ConvolveReal and
+// Pair share it.
 //
 // The radix-2 kernel permutes its input into bit-reversed order by
 // advancing the reversed index with a carry that runs from the top bit
@@ -22,7 +27,7 @@
 // size and cached process-wide (the solver hits the same handful of sizes
 // millions of times during a sweep). SetRecorder attaches a telemetry
 // recorder counting plan-cache hits/misses, transform sizes, and which
-// convolution path (direct vs. FFT) each ConvolveReal call took.
+// path (direct vs. FFT) each ConvolveReal call took.
 package fft
 
 import (
@@ -53,14 +58,12 @@ func recorder() obs.Recorder {
 }
 
 // directConvolutionCrossover is the work bound (len(a)*len(b)) below which
-// the O(n·m) direct convolution beats the FFT path.
+// ConvolveReal's O(n·m) direct path beats its FFT path.
 const directConvolutionCrossover = 4096
 
-// DirectConvolutionSizes reports whether ConvolveReal would take the direct
-// O(n·m) path for inputs of the given lengths — exported so instrumented
-// callers (the solver's per-step metrics) can label the path taken without
-// duplicating the crossover constant.
-func DirectConvolutionSizes(n, m int) bool {
+// directConvolutionSizes reports whether ConvolveReal takes the direct
+// O(n·m) path for inputs of the given lengths.
+func directConvolutionSizes(n, m int) bool {
 	return n*m <= directConvolutionCrossover
 }
 
@@ -286,13 +289,46 @@ func bluestein(x []complex128, inverse bool) {
 
 // ConvolveReal returns the full linear convolution of the real sequences a
 // and b: out[k] = sum_i a[i]*b[k-i], with len(out) = len(a)+len(b)-1.
-// The transform length is padded to the next power of two, giving
-// O((n+m) log(n+m)) time. Either input being empty yields an empty result.
-// The result is ConvolveRealInto's on a fresh Scratch, which the caller
-// then owns.
+// Small inputs are convolved directly; otherwise both sequences are packed
+// into one complex transform as a + i·b, padded to the next power of two,
+// giving O((n+m) log(n+m)) time. Either input being empty yields an empty
+// result.
 func ConvolveReal(a, b []float64) []float64 {
-	var s Scratch
-	return ConvolveRealInto(a, b, &s)
+	if len(a) == 0 || len(b) == 0 {
+		return nil
+	}
+	out := make([]float64, len(a)+len(b)-1)
+	if directConvolutionSizes(len(a), len(b)) {
+		if rec := recorder(); rec != nil {
+			rec.Add(obs.MetricFFTConvolveNaive, 1)
+		}
+		return convolveNaive(a, b, out)
+	}
+	if rec := recorder(); rec != nil {
+		rec.Add(obs.MetricFFTConvolveViaFFT, 1)
+	}
+	m := 1
+	for m < len(out) {
+		m <<= 1
+	}
+	z := make([]complex128, m)
+	pack(z, a, b)
+	radix2(z, false)
+	// The product spectrum A·B is Hermitian: bin m−k holds the conjugate of
+	// bin k. Each pair of bins is read before either is overwritten.
+	for k := 0; k <= m/2; k++ {
+		kr := (m - k) & (m - 1)
+		ak, bk := split(z[k], z[kr])
+		p := ak * bk
+		z[kr] = complex(real(p), -imag(p))
+		z[k] = p
+	}
+	radix2(z, true)
+	inv := 1 / float64(m)
+	for i := range out {
+		out[i] = real(z[i]) * inv
+	}
+	return out
 }
 
 // convolveNaive is the O(n·m) direct convolution used for small inputs and
@@ -310,9 +346,8 @@ func convolveNaive(a, b, out []float64) []float64 {
 	return out
 }
 
-// ConvolveRealNaive exposes the direct O(n·m) linear convolution. The solver
-// uses it below a crossover size where it beats the FFT, and tests use it as
-// the ground truth for ConvolveReal.
+// ConvolveRealNaive exposes the direct O(n·m) linear convolution, the
+// ground truth tests hold ConvolveReal and the solver's step to.
 func ConvolveRealNaive(a, b []float64) []float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return nil

@@ -385,7 +385,7 @@ func TestConvolvePathCounters(t *testing.T) {
 	if v := reg.CounterValue(obs.MetricFFTConvolveViaFFT); v != 1 {
 		t.Fatalf("fft counter = %v, want 1", v)
 	}
-	if !DirectConvolutionSizes(8, 8) || DirectConvolutionSizes(256, 256) {
-		t.Fatal("DirectConvolutionSizes disagrees with the crossover")
+	if !directConvolutionSizes(8, 8) || directConvolutionSizes(256, 256) {
+		t.Fatal("directConvolutionSizes disagrees with the crossover")
 	}
 }

@@ -46,14 +46,14 @@ func radix2Ref(x []complex128, inverse bool) {
 
 // convolveRealRef is ConvolveReal's FFT-path arithmetic as it stood beside
 // radix2Ref — its own packing, spectrum split, product and inverse — with
-// the direct path below the crossover, so ConvolveReal and
-// ConvolveRealInto can be held to it bit for bit.
+// the direct path below the crossover, so ConvolveReal can be held to it
+// bit for bit.
 func convolveRealRef(a, b []float64) []float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return nil
 	}
 	outLen := len(a) + len(b) - 1
-	if DirectConvolutionSizes(len(a), len(b)) {
+	if directConvolutionSizes(len(a), len(b)) {
 		out := make([]float64, outLen)
 		for i, av := range a {
 			if av == 0 {

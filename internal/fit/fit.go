@@ -59,6 +59,9 @@ func Trace(tr traces.Trace, opts Options) (api.FitResponse, error) {
 	if tr.BinWidth <= 0 {
 		return api.FitResponse{}, api.Errorf(api.CodeBadRequest, "trace bin width must be positive, got %g", tr.BinWidth)
 	}
+	if err := checkOptions(opts); err != nil {
+		return api.FitResponse{}, err
+	}
 	bins := opts.Bins
 	if bins <= 0 {
 		bins = DefaultBins
@@ -82,9 +85,6 @@ func Trace(tr traces.Trace, opts Options) (api.FitResponse, error) {
 	theta, err := dist.CalibrateTheta(alpha, epoch)
 	if err != nil {
 		return api.FitResponse{}, api.Errorf(api.CodeEstimation, "calibrating theta from mean epoch %g s: %v", epoch, err)
-	}
-	if opts.Cutoff < 0 {
-		return api.FitResponse{}, api.Errorf(api.CodeBadRequest, "cutoff must be >= 0, got %g", opts.Cutoff)
 	}
 
 	estimates := make(map[string]api.EstimatorResult, 5)
@@ -113,34 +113,54 @@ func Trace(tr traces.Trace, opts Options) (api.FitResponse, error) {
 	}, nil
 }
 
-// chooseHurst resolves the estimate the fit uses: an explicit override, a
-// named estimator's slot, or the median of the estimators that succeeded.
-func chooseHurst(est lrdest.Estimates, opts Options) (raw float64, chosen string, err error) {
+// checkOptions rejects the options no trace can make valid — a negative
+// cutoff, a Hurst override outside (0, 1), an unknown estimator name — so
+// a bad request costs no estimation. The estimator name matters only
+// without an override.
+func checkOptions(opts Options) error {
+	if opts.Cutoff < 0 {
+		return api.Errorf(api.CodeBadRequest, "cutoff must be >= 0, got %g", opts.Cutoff)
+	}
 	if opts.Hurst != 0 {
 		if !(opts.Hurst > 0 && opts.Hurst < 1) {
-			return 0, "", api.Errorf(api.CodeBadRequest, "hurst override %g outside (0, 1)", opts.Hurst)
+			return api.Errorf(api.CodeBadRequest, "hurst override %g outside (0, 1)", opts.Hurst)
 		}
-		return opts.Hurst, "override", nil
+		return nil
 	}
 	switch opts.Estimator {
 	case "", "median":
-		med, merr := est.Median()
-		if merr != nil {
-			return 0, "", api.Errorf(api.CodeEstimation, "%v", merr)
-		}
-		return med, "median", nil
-	default:
-		for _, ne := range est.ByName() {
-			if ne.Name != opts.Estimator {
-				continue
-			}
-			if ne.Err != nil {
-				return 0, "", api.Errorf(api.CodeEstimation, "estimator %s: %v", ne.Name, ne.Err)
-			}
-			return ne.H, ne.Name, nil
-		}
-		return 0, "", api.Errorf(api.CodeBadRequest, "unknown estimator %q (aggvar, rs, whittle, wavelet, gph, median)", opts.Estimator)
+		return nil
 	}
+	for _, ne := range (lrdest.Estimates{}).ByName() {
+		if ne.Name == opts.Estimator {
+			return nil
+		}
+	}
+	return api.Errorf(api.CodeBadRequest, "unknown estimator %q (aggvar, rs, whittle, wavelet, gph, median)", opts.Estimator)
+}
+
+// chooseHurst resolves the estimate the fit uses, for options that passed
+// checkOptions: an explicit override, a named estimator's slot, or the
+// median of the estimators that succeeded.
+func chooseHurst(est lrdest.Estimates, opts Options) (raw float64, chosen string, err error) {
+	if opts.Hurst != 0 {
+		return opts.Hurst, "override", nil
+	}
+	for _, ne := range est.ByName() {
+		if ne.Name != opts.Estimator {
+			continue
+		}
+		if ne.Err != nil {
+			return 0, "", api.Errorf(api.CodeEstimation, "estimator %s: %v", ne.Name, ne.Err)
+		}
+		return ne.H, ne.Name, nil
+	}
+	// "" or "median": checkOptions admits no other name.
+	med, merr := est.Median()
+	if merr != nil {
+		return 0, "", api.Errorf(api.CodeEstimation, "%v", merr)
+	}
+	return med, "median", nil
 }
 
 // FromRequest adapts a /v1/fit wire request into a trace and options. The

@@ -95,6 +95,15 @@ func TestReplyRebuildsFittedSource(t *testing.T) {
 	}
 }
 
+// constantRates is a trace of n bins at one rate.
+func constantRates(n int) []float64 {
+	r := make([]float64, n)
+	for i := range r {
+		r[i] = 3
+	}
+	return r
+}
+
 // TestTraceRejectsBadInput: every malformed input is the client's error.
 func TestTraceRejectsBadInput(t *testing.T) {
 	tr := testTraces(t)[2]
@@ -109,6 +118,9 @@ func TestTraceRejectsBadInput(t *testing.T) {
 		"hurst override above": {tr, Options{Hurst: 1}},
 		"hurst override below": {tr, Options{Hurst: -0.2}},
 		"unknown estimator":    {tr, Options{Estimator: "periodogram"}},
+		// Every estimator fails on a constant rate, so this answers
+		// bad_request only if the cutoff is checked before estimating.
+		"negative cutoff, constant rate": {traces.Trace{Rates: constantRates(4096), BinWidth: 0.01}, Options{Cutoff: -1}},
 	}
 	for name, c := range cases {
 		_, err := Trace(c.tr, c.opts)

@@ -53,8 +53,6 @@ const (
 	MetricSolverBins            = "solver_bins"      // gauge: current M
 	MetricSolverGap             = "solver_bound_gap" // gauge: relative gap
 	MetricSolverMassDrift       = "solver_mass_drift_abs"
-	MetricSolverConvolveDirect  = "solver_convolve_direct_total"
-	MetricSolverConvolveFFT     = "solver_convolve_fft_total"
 
 	// Solver scratch pooling and cross-cell warm-start accounting.
 	MetricSolverArenaReuse    = "solver_arena_reuse_total"           // scratch sets served from the solver's pool

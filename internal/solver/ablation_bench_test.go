@@ -4,8 +4,8 @@ package solver
 //
 //  1. the resolution ladder (start coarse, double M with a warm restart —
 //     the paper's footnote 3) versus solving cold at the final resolution;
-//  2. FFT convolution versus the direct O(M²) algorithm in the per-step
-//     Lindley update;
+//  2. the step's transform pair (both processes, O(M log M)) versus the
+//     direct O(M²) convolution in the per-step Lindley update;
 //  3. the 20 % bound-gap target versus tighter targets (cost of accuracy).
 //
 // Run with: go test ./internal/solver -bench Ablation -benchmem
@@ -85,7 +85,8 @@ func warmIterator(b *testing.B, bins int) *Iterator {
 }
 
 // BenchmarkAblationStepFFT measures one Lindley step with the production
-// convolution (FFT above the crossover) at M = 2048 on dense state.
+// kernel (one transform pair for both processes) at M = 2048 on dense
+// state.
 func BenchmarkAblationStepFFT(b *testing.B) {
 	it := warmIterator(b, 2048)
 	b.ReportAllocs()
@@ -95,8 +96,9 @@ func BenchmarkAblationStepFFT(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStepNaive measures the same two convolutions with the
-// direct O(M²) algorithm — the cost the paper's FFT remark avoids.
+// BenchmarkAblationStepNaive measures the step's two convolutions, of the
+// same shapes (M+1 ⊛ 2M+1), with the direct O(M²) algorithm — the cost the
+// paper's FFT remark avoids.
 func BenchmarkAblationStepNaive(b *testing.B) {
 	it := warmIterator(b, 2048)
 	b.ReportAllocs()

@@ -7,8 +7,8 @@ import (
 	"lrd/internal/obs"
 )
 
-// scratchPool lends every Iterator its scratch memory — the FFT convolution
-// workspace, the step output double-buffers, and the grid tables rebuilt on
+// scratchPool lends every Iterator its scratch memory — the step's transform
+// pair, the step output double-buffers, and the grid tables rebuilt on
 // every resolution rung — so successive and concurrent solves recycle it
 // instead of reallocating. Every pooled buffer is zeroed or fully
 // overwritten before use, so results never depend on what a borrowed set
@@ -32,12 +32,13 @@ func borrowScratch(rec obs.Recorder) *arenaScratch {
 	return &arenaScratch{}
 }
 
-// arenaScratch is one solve's worth of reusable memory: the FFT convolution
-// workspace plus a small free list of float64 slices recycled through the
-// resolution ladder (increment pmfs, cdf tables, loss tables, occupancy
-// vectors). Owned by a single solve at a time.
+// arenaScratch is one solve's worth of reusable memory: the step's
+// transform pair (its workspace and the current rung's increment spectra)
+// plus a small free list of float64 slices recycled through the resolution
+// ladder (increment pmfs and their fold sums, cdf tables, loss tables,
+// occupancy vectors). Owned by a single solve at a time.
 type arenaScratch struct {
-	conv fft.Scratch
+	pair fft.Pair
 	free [][]float64
 }
 

@@ -3,28 +3,30 @@ package solver
 import "testing"
 
 // TestArenaStepAllocations: once its pooled scratch has warmed up, a
-// Lindley step allocates nothing.
+// Lindley step allocates nothing, at power-of-two resolutions and others.
 func TestArenaStepAllocations(t *testing.T) {
 	q, ok := randomModel(5)
 	if !ok {
 		t.Fatal("randomModel(5) invalid")
 	}
-	it, err := NewModelIterator(q.Model(), Config{InitialBins: 512, MaxBins: 512, MaxIterations: 10000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ { // warm up scratch buffers
-		if err := it.Step(); err != nil {
+	for _, m := range []int{1, 3, 100, 512, 1024} {
+		it, err := NewModelIterator(q.Model(), Config{InitialBins: m, MaxBins: m, MaxIterations: 10000})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if err := it.Step(); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 3; i++ { // warm up scratch buffers
+			if err := it.Step(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("Step allocates %v objects/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := it.Step(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("M=%d: Step allocates %v objects/op, want 0", m, allocs)
+		}
 	}
 }
 

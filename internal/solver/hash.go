@@ -40,5 +40,6 @@ func ConfigHash(cfg Config) string {
 // out-of-resolution solve stops, keeps the revision: a journaled degraded
 // cell of either revision is still a valid bracket.
 // Revision 1: the cold start's first rung and certified upper start
-// (start.go).
-const solverRevision = 1
+// (start.go). Revision 2: the paired-transform step, whose end bins are
+// exact sums (Iterator.stepRaw).
+const solverRevision = 2

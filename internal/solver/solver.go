@@ -17,10 +17,14 @@
 // certified exponential (Kingman's bound, see start.go) when the epoch law
 // is bounded, and reports the running minimum of its upper iterates. The
 // ladder starts at the first resolution whose grid step no longer pins the
-// upper chain against B (see start.go). The per-step convolution (Eq. 19) runs in O(M log M) via FFT
-// above a crossover size. When the bounds stop tightening at a given
-// resolution, M is doubled and the iteration warm-restarts from the coarse
-// occupancy vectors (footnote 3 of the paper).
+// upper chain against B (see start.go). Each step (Eq. 19) convolves both
+// processes at once in O(M log M): one forward and one inverse transform
+// of the least power of two N ≥ 2M against the increment pmfs' spectra,
+// cached per resolution (fft.Pair), give the bins strictly inside (0, B),
+// and O(M) sums over cumulative increment tables give the mass folded into
+// 0 and B exactly. When the bounds stop tightening at a given resolution,
+// M is doubled and the iteration warm-restarts from the coarse occupancy
+// vectors (footnote 3 of the paper).
 //
 // # Robustness contract
 //
@@ -50,12 +54,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
 	"lrd/internal/dist"
 	"lrd/internal/faultinject"
-	"lrd/internal/fft"
 	"lrd/internal/fluid"
 	"lrd/internal/numerics"
 	"lrd/internal/obs"
@@ -224,10 +228,10 @@ type Config struct {
 	// the best-so-far bracket as a degraded Result. Zero means no budget.
 	MaxDuration time.Duration
 	// Recorder receives solver telemetry (step counts and timings, bound
-	// gap, mass drift, convolution path, refinements, per-solve outcomes;
-	// see internal/obs for the metric names). A nil Recorder — the default
-	// — disables instrumentation entirely: the hot loop pays one nil check
-	// and allocates nothing, and results are bit-identical either way.
+	// gap, mass drift, refinements, per-solve outcomes; see internal/obs
+	// for the metric names). A nil Recorder — the default — disables
+	// instrumentation entirely: the hot loop pays one nil check and
+	// allocates nothing, and results are bit-identical either way.
 	Recorder obs.Recorder
 	// Trace, when non-nil, is called once per committed Lindley iteration
 	// with the current convergence state (and once more when the solve
@@ -383,6 +387,11 @@ type Iterator struct {
 	qh   []float64 // upper occupancy pmf
 	loss []float64 // E[W_l | Q = j·d] for j = 0..M
 
+	// headL/tailL and headH/tailH are the increment pmfs' cumulative sums
+	// that fold a step's mass into the end bins (see foldSums).
+	headL, tailL []float64
+	headH, tailH []float64
+
 	arrivalWork float64 // λ̄·E[T], the denominator of Eq. (13)
 	iterations  int
 	lowerLoss   float64
@@ -400,7 +409,8 @@ type Iterator struct {
 	traceLo float64
 	traceHi float64
 
-	// scratch is the pooled scratch set borrowed for this solve's lifetime;
+	// scratch is the pooled scratch set borrowed for this solve's lifetime
+	// (its fft.Pair holds the increment spectra of the current rung);
 	// qlNext/qhNext are the step output double-buffers; cl/cc retain the
 	// work-increment cdf tables so a Refine recomputes only the odd grid
 	// points (the even ones coincide bitwise with the coarse grid's).
@@ -516,31 +526,29 @@ func (it *Iterator) release() {
 		return
 	}
 	it.scratch = nil
-	s.putFloat(it.ql)
-	s.putFloat(it.qh)
-	s.putFloat(it.qlNext)
-	s.putFloat(it.qhNext)
-	s.putFloat(it.wl)
-	s.putFloat(it.wh)
-	s.putFloat(it.loss)
-	s.putFloat(it.cl)
-	s.putFloat(it.cc)
+	for _, b := range [...][]float64{it.ql, it.qh, it.qlNext, it.qhNext, it.wl, it.wh,
+		it.loss, it.cl, it.cc, it.headL, it.tailL, it.headH, it.tailH} {
+		s.putFloat(b)
+	}
 	it.ql, it.qh, it.qlNext, it.qhNext = nil, nil, nil, nil
 	it.wl, it.wh, it.loss, it.cl, it.cc = nil, nil, nil, nil, nil
+	it.headL, it.tailL, it.headH, it.tailH = nil, nil, nil, nil
 	scratchPool.Put(s)
 }
 
-// setResolution (re)builds the grid-dependent tables for M bins. The
-// previous rung's tables are recycled through the scratch free list, and a
-// resolution doubling copies the coarse grid's cdf/loss entries into
-// the even fine-grid slots instead of recomputing them: the evaluation
-// points coincide bitwise (B/(2M) rounds to exactly half of B/M, and
-// float64(2j)·(B/(2M)) to exactly float64(j)·(B/M)), so the copied entries
-// equal what recomputation would produce and results stay bit-identical.
+// setResolution (re)builds the grid-dependent tables for M bins: the cdf,
+// increment-pmf and loss tables, the increment pmfs' fold sums, and their
+// spectra for the step's transform pair. The previous rung's tables are
+// recycled through the scratch free list, and a resolution doubling
+// copies the coarse grid's cdf/loss entries into the even fine-grid slots
+// instead of recomputing them: the evaluation points coincide bitwise
+// (B/(2M) rounds to exactly half of B/M, and float64(2j)·(B/(2M)) to
+// exactly float64(j)·(B/M)), so the copied entries equal what
+// recomputation would produce and results stay bit-identical.
 func (it *Iterator) setResolution(m int) {
 	prevBins := it.bins
 	prevCl, prevCc, prevLoss := it.cl, it.cc, it.loss
-	prevWl, prevWh := it.wl, it.wh
+	prev := [...][]float64{prevCl, prevCc, prevLoss, it.wl, it.wh, it.headL, it.tailL, it.headH, it.tailH}
 	it.bins = m
 	it.d = it.model.Buffer / float64(m)
 	reuseCl, reuseCc, reuseLoss := prevCl, prevCc, prevLoss
@@ -549,11 +557,54 @@ func (it *Iterator) setResolution(m int) {
 	}
 	cl, cc := it.cdfTables(m, reuseCl, reuseCc)
 	it.wl, it.wh = it.incrementPMFs(m, cl, cc)
+	it.setStepTables()
 	it.loss = it.lossTable(m, reuseLoss)
 	it.cl, it.cc = cl, cc
-	for _, b := range [][]float64{prevCl, prevCc, prevWl, prevWh, prevLoss} {
+	for _, b := range prev {
 		it.scratch.putFloat(b)
 	}
+}
+
+// setStepTables derives what a step reads from the increment pmfs wl and
+// wh at the current resolution: their fold sums, and the spectra of
+// w[0:2M) at the transform length (the window reads no other entry; see
+// stepRaw).
+func (it *Iterator) setStepTables() {
+	m := it.bins
+	it.headL, it.tailL = it.foldSums(m, it.wl)
+	it.headH, it.tailH = it.foldSums(m, it.wh)
+	it.scratch.pair.SetKernels(transformSize(m), it.wl[:2*m], it.wh[:2*m])
+}
+
+// transformSize is the step's transform length for M bins: the least power
+// of two N ≥ 2M.
+func transformSize(m int) int {
+	return 1 << bits.Len(uint(2*m-1))
+}
+
+// foldSums returns the cumulative sums of the increment pmf w (length
+// 2M+1, index l ↦ w(l−M)) that fold a step's mass leaving the grid into its
+// end bins: from occupancy bin i = 0..M,
+//
+//	head[i] = Σ_{l ≤ M−i} w[l]   (the step ends at or below 0),
+//	tail[i] = Σ_{l ≥ 2M−i} w[l]  (the step ends at or above B).
+//
+// Both are compensated running sums, the tail summed from the top so its
+// smallest terms come first.
+func (it *Iterator) foldSums(m int, w []float64) (head, tail []float64) {
+	head = it.scratch.getFloat(m + 1)
+	tail = it.scratch.getFloat(m + 1)
+	var acc numerics.Accumulator
+	for l := 0; l <= m; l++ {
+		acc.Add(w[l])
+		head[m-l] = acc.Sum()
+	}
+	acc = numerics.Accumulator{}
+	for l := 2 * m; l >= m; l-- {
+		acc.Add(w[l])
+		tail[2*m-l] = acc.Sum()
+	}
+	return head, tail
 }
 
 // Bins returns the current resolution M.
@@ -602,9 +653,9 @@ func (it *Iterator) Step() error {
 		it.scratch.putFloat(it.qhNext)
 		it.qhNext = it.scratch.getFloat(n)
 	}
-	conv := &it.scratch.conv
-	ql, driftL := lindleyStepInto(it.ql, it.wl, it.bins, conv, it.qlNext[:n])
-	qh, driftH := lindleyStepInto(it.qh, it.wh, it.bins, conv, it.qhNext[:n])
+	ql, qh := it.qlNext[:n], it.qhNext[:n]
+	it.stepRaw(ql, qh)
+	driftL, driftH := settle(ql), settle(qh)
 	newLo, newHi := it.lossOf(ql), it.lossOf(qh)
 	if faultinject.Active() {
 		pair := []float64{newLo, newHi}
@@ -630,17 +681,29 @@ func (it *Iterator) Step() error {
 		rec.Observe(obs.MetricSolverMassDrift, math.Abs(driftL))
 		rec.Observe(obs.MetricSolverMassDrift, math.Abs(driftH))
 		rec.Set(obs.MetricSolverGap, relativeGap(newLo, newHi))
-		// One Lindley step convolves both bound processes.
-		if fft.DirectConvolutionSizes(it.bins+1, 2*it.bins+1) {
-			rec.Add(obs.MetricSolverConvolveDirect, 2)
-		} else {
-			rec.Add(obs.MetricSolverConvolveFFT, 2)
-		}
 	}
 	if it.cfg.Trace != nil {
 		it.cfg.Trace(it.tracePoint(false))
 	}
 	return nil
+}
+
+// stepRaw writes Eq. (19) for both processes at once into ql and qh
+// (length M+1), before the clamp and renormalization of settle. The linear
+// convolution q ⊛ w has support [0, 3M], its index k the occupancy
+// (k−M)·d. Bins 1..M−1 are its entries M+1..2M−1, which read w[0:2M) only;
+// the N-point circular convolution with w[0:2M), N ≥ 2M, equals them,
+// because for k in that range neither k−N nor k+N lies in the support.
+// Bins 0 and M gather everything at or below 0 and at or above B: exact
+// O(M) sums over the fold tables, free of transform roundoff.
+func (it *Iterator) stepRaw(ql, qh []float64) {
+	m := it.bins
+	y := it.scratch.pair.Convolve(it.ql, it.qh)
+	ql[0], ql[m] = ends(it.ql, it.headL, it.tailL)
+	qh[0], qh[m] = ends(it.qh, it.headH, it.tailH)
+	for j := 1; j < m; j++ {
+		ql[j], qh[j] = real(y[m+j]), imag(y[m+j])
+	}
 }
 
 // setUpper records a committed upper-bound value: the value itself, or for
@@ -765,38 +828,37 @@ func relChange(prev, cur float64) float64 {
 	return math.Abs(cur-prev) / den
 }
 
-// lindleyStepInto applies Eqs. (19)–(20): convolve the occupancy pmf with
-// the increment pmf, then fold the mass escaping below 0 into bin 0 and the
-// mass escaping above B into bin M. The result is renormalized to unit mass
-// to stop roundoff drift over long runs (and to clamp the ~1-ulp negative
-// values FFT convolution can produce). conv supplies the convolution
-// workspace and out (length m+1, fully overwritten) receives the stepped
-// pmf. The pre-renormalization drift (total−1) is returned for the
-// numeric-health watchdog.
-func lindleyStepInto(q, w []float64, m int, conv *fft.Scratch, out []float64) ([]float64, float64) {
-	// u[k] corresponds to occupancy position (k−m)·d, k = 0..3m.
-	u := fft.ConvolveRealInto(q, w, conv)
-	faultinject.Apply(faultinject.SolverConvolution, u)
-	var under, over numerics.Accumulator
-	for k := 0; k <= m; k++ { // positions −m·d … 0
-		under.Add(math.Max(u[k], 0))
+// ends returns the mass one step moves from occupancy pmf q to or below 0
+// and to or above B: the compensated sums Σ q[i]·head[i] and
+// Σ q[i]·tail[i] over foldSums' tables.
+func ends(q, head, tail []float64) (lo, hi float64) {
+	head, tail = head[:len(q)], tail[:len(q)]
+	var accLo, accHi numerics.Accumulator
+	for i, v := range q {
+		accLo.Add(v * head[i])
+		accHi.Add(v * tail[i])
 	}
-	for k := 2 * m; k < len(u); k++ { // positions B … 2B
-		over.Add(math.Max(u[k], 0))
+	return accLo.Sum(), accHi.Sum()
+}
+
+// settle finishes Eq. (20) on one process's raw stepped pmf, in place:
+// bin 0, the transform's window, then bin M. It clamps the ~1-ulp negative
+// values the transform can leave in the window and renormalizes to unit
+// mass to stop roundoff drift over long runs, returning the
+// pre-renormalization drift (total−1) for the numeric-health watchdog.
+func settle(q []float64) float64 {
+	faultinject.Apply(faultinject.SolverConvolution, q)
+	for j, v := range q {
+		q[j] = math.Max(v, 0)
 	}
-	out[0] = under.Sum()
-	out[m] = over.Sum()
-	for j := 1; j < m; j++ {
-		out[j] = math.Max(u[m+j], 0)
-	}
-	total := numerics.KahanSum(out)
+	total := numerics.KahanSum(q)
 	if total > 0 {
 		inv := 1 / total
-		for j := range out {
-			out[j] *= inv
+		for j := range q {
+			q[j] *= inv
 		}
 	}
-	return out, total - 1
+	return total - 1
 }
 
 // incrementPMFs builds the rounded-increment pmfs of Eqs. (21)–(22):

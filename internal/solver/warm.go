@@ -140,7 +140,7 @@ func NewModelIteratorSeeded(m Model, cfg Config, seed *Seed) (*Iterator, error) 
 // seedOccupancies projects the seed vectors onto this iterator's grid:
 // lower mass moves down (preserving <=st), upper mass is shifted up by
 // Δ = B−B', moved up to the next grid point, and capped at B. Both vectors
-// are renormalized to unit mass exactly as lindleyStepInto renormalizes.
+// are renormalized to unit mass exactly as settle renormalizes a step.
 func (it *Iterator) seedOccupancies(seed *Seed) {
 	m, d := it.bins, it.d
 	delta := it.model.Buffer - seed.Buffer
