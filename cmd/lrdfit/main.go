@@ -51,7 +51,6 @@ import (
 	"lrd/internal/api"
 	"lrd/internal/cliflags"
 	"lrd/internal/core"
-	"lrd/internal/fft"
 	"lrd/internal/fit"
 	"lrd/internal/obs"
 	"lrd/internal/solver"
@@ -121,7 +120,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		logger.Error(fmt.Sprintf("lrdfit: "+format, args...))
 		return 1
 	}
-	fft.SetRecorder(cli.Recorder())
 
 	// Stage 1: the trace.
 	tr, err := loadTrace(*csvPath, *gen, *seed, *genHurst, *genMean, *genCov, *bins, *binWidth)

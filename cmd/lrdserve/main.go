@@ -65,7 +65,6 @@ import (
 	"time"
 
 	"lrd/internal/cliflags"
-	"lrd/internal/fft"
 	"lrd/internal/fleetstatus"
 	"lrd/internal/obs"
 	"lrd/internal/serve"
@@ -113,7 +112,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	defer cli.Close()
-	fft.SetRecorder(cli.Recorder())
 
 	// All diagnostics from here down are slog records. Lifecycle messages
 	// carry the server's root trace id; the serving layer gets a logger

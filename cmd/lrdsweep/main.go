@@ -27,7 +27,9 @@
 // are re-leased by the survivors, while a zombie that wakes up late loses
 // the fencing race and can never overwrite a newer result. Every worker
 // writes the same complete TSV at the end (cells solved by peers are
-// adopted from the journal), byte-identical to a single-process run.
+// adopted from the journal), byte-identical to a single-process run. The
+// shuffle-simulated surfaces (fig7, fig8, fig14, modelfit) lease their
+// cells the same way.
 // -workers caps the in-process solver pool so a fleet's total matches the
 // machine.
 //
@@ -39,12 +41,14 @@
 // and the output bytes behave exactly as in a local run.
 //
 // Warm starts: -warm chains cross-cell warm starts up each buffer column
-// of the buffer×cutoff experiments: a cell's bound iteration starts from
-// its smaller-buffer neighbor's solved occupancy vectors, skipping the
-// coarse resolution ladder. The loss bounds remain valid at every
-// iteration, but they land elsewhere inside the bracket than a cold
-// solve's, so warm journals are namespaced (warm=1) and warm TSVs differ
-// from cold ones in the bounds' low-order digits.
+// of every solved surface with more than one buffer (fig4, fig5, fig12,
+// fig13, modelfit): a cell's bound iteration starts from its
+// smaller-buffer neighbor's solved occupancy vectors, skipping the coarse
+// resolution ladder. The loss bounds remain valid at every iteration, but
+// they land elsewhere inside the bracket than a cold solve's, so warm
+// journals are namespaced (warm=1) and warm TSVs differ from cold ones in
+// the bounds' low-order digits. Single-buffer surfaces (fig9–fig11) solve
+// cold under -warm.
 //
 // Journal maintenance: -compact rewrites the -journal to one record per key
 // (atomic replace) and exits. It may not run while live workers share the
@@ -103,7 +107,6 @@ import (
 
 	"lrd/internal/cliflags"
 	"lrd/internal/core"
-	"lrd/internal/fft"
 	"lrd/internal/journal"
 	"lrd/internal/obs"
 	"lrd/internal/solver"
@@ -207,7 +210,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	opts.Solver.MaxDuration = *pointTimeout
 	opts.Solver.Recorder = cli.Recorder()
-	fft.SetRecorder(cli.Recorder())
 	if enc := cli.TraceEncoder(); enc != nil {
 		opts.Solver.Trace = func(p solver.TracePoint) { enc(p) }
 	}

@@ -261,6 +261,10 @@ func TestGoldenFluidBitIdentity(t *testing.T) {
 		{"golden-fig4-quick-seed3.tsv", []string{"-exp", "fig4", "-quick", "-seed", "3"}},
 		{"golden-fig9-quick-seed2.tsv", []string{"-exp", "fig9", "-quick", "-seed", "2"}},
 		{"golden-fig10-quick-seed1.tsv", []string{"-exp", "fig10", "-quick", "-seed", "1"}},
+		{"golden-fig7-quick-seed1.tsv", []string{"-exp", "fig7", "-quick", "-seed", "1"}},
+		{"golden-fig11-quick-seed1.tsv", []string{"-exp", "fig11", "-quick", "-seed", "1"}},
+		{"golden-fig12-quick-seed1.tsv", []string{"-exp", "fig12", "-quick", "-seed", "1"}},
+		{"golden-fig4-quick-seed3-warm.tsv", []string{"-exp", "fig4", "-quick", "-seed", "3", "-warm"}},
 	}
 	for _, c := range cases {
 		want, err := os.ReadFile(filepath.Join("testdata", c.golden))

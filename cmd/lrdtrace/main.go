@@ -16,10 +16,10 @@
 // estimates — the statistics the paper's §III extracts from its traces.
 //
 // Observability flags (shared with the other lrd commands): -metrics writes
-// a JSON metrics snapshot on exit (FFT and synthesis counters), -trace
-// streams solver convergence points as JSONL (empty here — lrdtrace runs no
-// solver), -progress prints a periodic status line, and -pprof serves
-// net/http/pprof plus an expvar metrics export.
+// a JSON metrics snapshot on exit, -trace streams solver convergence points
+// as JSONL (empty here — lrdtrace runs no solver), -progress prints a
+// periodic status line, and -pprof serves net/http/pprof plus an expvar
+// metrics export.
 //
 // Examples:
 //
@@ -38,7 +38,6 @@ import (
 
 	"lrd/internal/api"
 	"lrd/internal/cliflags"
-	"lrd/internal/fft"
 	"lrd/internal/lrdest"
 	"lrd/internal/obs"
 	"lrd/internal/onoff"
@@ -88,11 +87,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		logger.Error(fmt.Sprintf("lrdtrace: "+format, args...))
 		bad = true
 	}
-	// Trace synthesis and Hurst estimation run on the FFT layer; the shared
-	// observability group surfaces its counters the same way the solver
-	// commands do.
-	fft.SetRecorder(cli.Recorder())
-
 	var tr traces.Trace
 	switch {
 	case *analyze != "" && *gen != "":

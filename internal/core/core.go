@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -215,35 +216,77 @@ dispatch:
 	}
 }
 
-// completedPoints filters a parallelMap output down to the cells that
-// actually finished.
-func completedPoints(pts []Point, done []bool) []Point {
-	out := make([]Point, 0, len(pts))
-	for i, p := range pts {
-		if done[i] {
-			out = append(out, p)
-		}
-	}
-	return out
+// cellValue is the result of one sweep cell: a solved Point or a simulated
+// ShufflePoint.
+type cellValue interface {
+	// transient reports an outcome a re-run may improve: it is retried
+	// under SweepConfig.Retry and never journaled as complete.
+	transient() bool
 }
 
-// gridSweep is the durable execution engine under every Point-valued
-// sweep: it runs compute over n cells on the parallelMap worker pool,
-// consulting cfg.Store to skip cells a previous (interrupted) run already
-// journaled and pushing every fresh result through the bounded retry
-// policy before journaling it. key(i) must identify cell i within
-// cfg.Prefix's namespace.
-func gridSweep(ctx context.Context, cfg SweepConfig, n int, key func(int) string, compute func(context.Context, int) (Point, error)) ([]Point, error) {
-	out := make([]Point, n)
-	done, err := parallelMap(ctx, cfg.Solver.Recorder, cfg.Workers, n, func(i int) error {
-		p, err := runCell(ctx, cfg, key(i), func(ctx context.Context) (Point, error) { return compute(ctx, i) })
-		if err != nil {
-			return err
+// transient is true for a retryable degradation (deadline, cancellation).
+func (p Point) transient() bool { return p.Degraded.Retryable() }
+
+// transient is false: a trace simulation is deterministic.
+func (ShufflePoint) transient() bool { return false }
+
+// gridSweep is the durable execution engine under every sweep, solved or
+// simulated: it runs the n cells of a grid as chains on the parallelMap
+// worker pool and returns the completed cells in index order. A chain's
+// cells execute in order, threading a warm-start seed from every freshly
+// computed cell into its successor; chains run in parallel, so the
+// parallelMap scheduling unit — and its started/completed telemetry — is a
+// chain. A cold sweep passes one chain per cell (cellChains). key(i) must
+// identify cell i within cfg.Prefix's namespace.
+//
+// Every cell goes through runCell, so journaled cells replay their
+// committed results untouched and leases are honored. A replayed (resumed
+// or adopted) cell carries no occupancy vectors, so it breaks its chain —
+// the next cell starts cold — which is exactly the "warm starts never
+// change committed results, only iteration counts" contract.
+func gridSweep[C cellValue](ctx context.Context, cfg SweepConfig, n int, chains [][]int, key func(int) string, compute func(ctx context.Context, i int, seed *solver.Seed) (C, *solver.Seed, error)) ([]C, error) {
+	rec := cfg.Solver.Recorder
+	out := make([]C, n)
+	done := make([]bool, n) // written by workers, read after the pool drains
+	_, err := parallelMap(ctx, rec, cfg.Workers, len(chains), func(ci int) error {
+		if len(chains[ci]) > 1 && rec != nil {
+			rec.Add(obs.MetricCoreWarmChains, 1)
 		}
-		out[i] = p
+		var seed *solver.Seed
+		for _, i := range chains[ci] {
+			var next *solver.Seed
+			v, err := runCell(ctx, cfg, key(i), func(ctx context.Context) (C, error) {
+				v, ns, cerr := compute(ctx, i, seed)
+				next = ns
+				return v, cerr
+			})
+			if err != nil {
+				return err
+			}
+			out[i], done[i] = v, true
+			if next == nil && seed != nil && rec != nil {
+				rec.Add(obs.MetricCoreWarmChainBreaks, 1)
+			}
+			seed = next
+		}
 		return nil
 	})
-	return completedPoints(out, done), err
+	kept := out[:0]
+	for i, v := range out {
+		if done[i] {
+			kept = append(kept, v)
+		}
+	}
+	return kept, err
+}
+
+// cellChains is the cold schedule of an n-cell grid: one chain per cell.
+func cellChains(n int) [][]int {
+	chains := make([][]int, n)
+	for i := range chains {
+		chains[i] = []int{i}
+	}
+	return chains
 }
 
 // runCell executes one sweep cell durably:
@@ -265,9 +308,10 @@ func gridSweep(ctx context.Context, cfg SweepConfig, n int, key func(int) string
 //
 // Store write failures are returned as errors: losing durability silently
 // would defeat the journal.
-func runCell(ctx context.Context, cfg SweepConfig, key string, compute func(context.Context) (Point, error)) (Point, error) {
+func runCell[C cellValue](ctx context.Context, cfg SweepConfig, key string, compute func(context.Context) (C, error)) (C, error) {
 	rec := cfg.Solver.Recorder
 	fullKey := cfg.Prefix + key
+	var zero C
 	// Every cell is a tracing entry point: the cell span becomes the parent
 	// of the lease, solver, and journal-append spans below it. When no span
 	// sink rides the context this is free.
@@ -278,13 +322,13 @@ func runCell(ctx context.Context, cfg SweepConfig, key string, compute func(cont
 	}
 	if cfg.Store != nil {
 		if raw, ok := cfg.Store.Lookup(fullKey); ok {
-			var p Point
-			if err := json.Unmarshal(raw, &p); err == nil {
+			var v C
+			if err := json.Unmarshal(raw, &v); err == nil {
 				if rec != nil {
 					rec.Add(obs.MetricCoreCellsResumed, 1)
 				}
 				outcome = "resumed"
-				return p, nil
+				return v, nil
 			}
 			// Undecodable cached value (journal written by an incompatible
 			// schema): recompute rather than fail the sweep.
@@ -301,24 +345,24 @@ func runCell(ctx context.Context, cfg SweepConfig, key string, compute func(cont
 	}
 	if err != nil {
 		outcome = "error"
-		return Point{}, err
+		return zero, err
 	}
 	if !acquired {
 		// Another worker computed the cell; adopt its result. An
 		// undecodable value here means the fleet is running incompatible
 		// schemas — fail loudly rather than silently double-compute.
-		var p Point
-		if uerr := json.Unmarshal(raw, &p); uerr != nil {
+		var v C
+		if uerr := json.Unmarshal(raw, &v); uerr != nil {
 			outcome = "error"
-			return Point{}, fmt.Errorf("core: adopting cell %q from a peer worker: %w", fullKey, uerr)
+			return zero, fmt.Errorf("core: adopting cell %q from a peer worker: %w", fullKey, uerr)
 		}
 		if rec != nil {
 			rec.Add(obs.MetricCoreCellsAdopted, 1)
 		}
 		outcome = "adopted"
-		return p, nil
+		return v, nil
 	}
-	p, err := computeCell(ctx, cfg, fullKey, compute)
+	v, err := computeCell(ctx, cfg, fullKey, compute)
 	if err != nil {
 		outcome = "error"
 	}
@@ -329,63 +373,64 @@ func runCell(ctx context.Context, cfg SweepConfig, key string, compute func(cont
 	if rerr := claimer.Release(fullKey); rerr != nil && err == nil {
 		err = rerr
 	}
-	return p, err
+	return v, err
 }
 
 // computeCell is runCell's compute-and-retry loop (steps 3 and 4 of the
 // runCell contract).
-func computeCell(ctx context.Context, cfg SweepConfig, fullKey string, compute func(context.Context) (Point, error)) (Point, error) {
+func computeCell[C cellValue](ctx context.Context, cfg SweepConfig, fullKey string, compute func(context.Context) (C, error)) (C, error) {
 	rec := cfg.Solver.Recorder
+	var zero C
 	for attempt := 1; ; attempt++ {
-		p, err := compute(ctx)
-		if err == nil && !p.Degraded.Retryable() {
+		v, err := compute(ctx)
+		if err == nil && !v.transient() {
 			// Final: clean, or a terminal degradation a re-run would
 			// deterministically reproduce.
 			if cfg.Store != nil {
 				_, finishAppend := obs.StartSpan(ctx, "journal.append")
-				serr := cfg.Store.Store(fullKey, p)
+				serr := cfg.Store.Store(fullKey, v)
 				if obs.Traced(ctx) {
 					finishAppend(map[string]string{"key": fullKey})
 				}
 				if serr != nil {
-					return Point{}, serr
+					return zero, serr
 				}
 			}
-			return p, nil
+			return v, nil
 		}
 		if err != nil && cfg.Store != nil {
 			if serr := cfg.Store.Fail(fullKey, attempt, err); serr != nil {
-				return Point{}, serr
+				return zero, serr
 			}
 		}
 		retryable := err == nil || solver.RetryableError(err)
 		if !retryable || attempt >= cfg.Retry.attempts() || ctx.Err() != nil {
 			if err != nil {
-				return Point{}, err
+				return zero, err
 			}
 			// A transiently degraded cell keeps its best-so-far bracket in
 			// the partial table but is not journaled as complete.
-			return p, nil
+			return v, nil
 		}
 		if rec != nil {
 			rec.Add(obs.MetricCoreCellsRetried, 1)
 		}
 		if serr := resilient.Sleep(ctx, cfg.Retry.backoff(attempt)); serr != nil {
 			if err != nil {
-				return Point{}, err
+				return zero, err
 			}
-			return p, nil
+			return v, nil
 		}
 	}
 }
 
-// solveCell runs the solver on one parameter cell for any traffic model
-// src realized from ref, warm-started from seed when it is non-nil (a nil
-// seed solves cold). It returns the seed for the cell's next larger-buffer
-// neighbor (nil when the result carries no usable occupancy vectors).
-// Cancellation or budget expiry never errors: the cell comes back with its
-// best-so-far bracket and a nonempty Degraded reason.
-func solveCell(ctx context.Context, ref fluid.Source, src source.Source, util, nbuf float64, cfg solver.Config, seed *solver.Seed) (Point, *solver.Seed, error) {
+// solveCell runs the solver on one cell of traffic model src, warm-started
+// from seed when it is non-nil (a nil seed solves cold). It returns the
+// cell's bracket and the seed for its next larger-buffer neighbor (nil when
+// the result carries no usable occupancy vectors). Cancellation or budget
+// expiry never errors: the cell comes back with its best-so-far bracket
+// and a nonempty Degraded reason.
+func solveCell(ctx context.Context, src source.Source, util, nbuf float64, cfg solver.Config, seed *solver.Seed) (Point, *solver.Seed, error) {
 	m, err := solver.NewModelNormalized(src, util, nbuf)
 	if err != nil {
 		return Point{}, nil, err
@@ -400,13 +445,13 @@ func solveCell(ctx context.Context, ref fluid.Source, src source.Source, util, n
 		// the iterations-saved metric.
 		next.Iterations = seed.Iterations
 	}
-	return atReference(Point{
+	return Point{
 		Loss:      res.Loss,
 		Lower:     res.Lower,
 		Upper:     res.Upper,
 		Converged: res.Converged,
 		Degraded:  res.Degraded,
-	}, ref, nbuf, cfg.Recorder), next, nil
+	}, next, nil
 }
 
 // atReference gives a solved cell its grid coordinates: the normalized
@@ -432,119 +477,135 @@ func atReference(p Point, ref fluid.Source, nbuf float64, rec obs.Recorder) Poin
 	}
 }
 
-// realizeModel transforms a reference fluid source into the sweep's
-// configured traffic model (SweepConfig.Model; the zero spec is the fluid
-// identity). Models fitted by approximation (e.g. markov) surface their
-// correlation-fit error through the MetricSourceFitMaxError gauge.
-func realizeModel(cfg SweepConfig, ref fluid.Source) (source.Source, error) {
-	s, err := cfg.Model.Realize(ref)
-	if err != nil {
-		return nil, err
-	}
-	if fq, ok := s.(source.FitQuality); ok && cfg.Solver.Recorder != nil {
-		cfg.Solver.Recorder.Set(obs.MetricSourceFitMaxError, fq.FitMaxError())
-	}
-	return s, nil
+// surface is one solved loss surface laid out buffers × columns: cell i
+// sits at buffer i/nc in column i%nc. Every LossVs* sweep is a surface,
+// given by a reference source per column and a journal key per cell.
+type surface struct {
+	util    float64
+	buffers []float64
+	nc      int
+	// ref builds column c's reference fluid source.
+	ref func(c int) (fluid.Source, error)
+	// key names cell i within the sweep's journal namespace.
+	key func(i int) string
+	// place, when non-nil, sets the coordinates of column c's cells that
+	// its reference does not carry: the marginal scale, the stream count,
+	// and an imposed Hurst value.
+	place func(p *Point, c int)
 }
 
-// realizeCell realizes one cell's reference fluid source as the sweep's
-// traffic model and solves it cold, or hands the cell to the remote fleet
-// when one is configured.
-func realizeCell(ctx context.Context, cfg SweepConfig, ref fluid.Source, util, nbuf float64) (Point, error) {
-	if cfg.Remote != nil {
-		p, err := cfg.Remote(ctx, RemoteCell{
-			Ref: ref, Model: cfg.Model, Util: util, NormalizedBuffer: nbuf,
-			Config: cfg.Solver,
-		})
-		if err != nil {
-			return Point{}, err
-		}
-		return atReference(p, ref, nbuf, cfg.Solver.Recorder), nil
-	}
-	s, err := realizeModel(cfg, ref)
-	if err != nil {
-		return Point{}, err
-	}
-	p, _, err := solveCell(ctx, ref, s, util, nbuf, cfg.Solver, nil)
-	return p, err
-}
-
-// column is one cutoff column of a loss surface: its reference source and,
-// for a local sweep, the traffic model realized from it.
+// column is one column of a surface: its reference source and, for a local
+// sweep, the traffic model realized from it.
 type column struct {
 	ref fluid.Source
 	src source.Source
 }
 
-// newColumnCache memoizes per-column sources: a sweep builds each cutoff
-// column's reference and realized model once and shares them across the
-// column's cells. Both are deterministic, so the shared sources are
-// bit-identical to per-cell ones — only the redundant work (trace stats,
-// correlation fits) disappears.
-func newColumnCache(n int, build func(int) (column, error)) func(int) (column, error) {
-	type entry struct {
-		once sync.Once
-		col  column
-		err  error
+// sweep runs the surface's cells through gridSweep. Each column's
+// reference — and, for a local sweep, the traffic model realized from it
+// as cfg.Model — is built once, on first use, and shared by the column's
+// cells; both are deterministic, so the shared sources are bit-identical to
+// per-cell ones. Models fitted by approximation (e.g. markov) surface
+// their correlation-fit error through the MetricSourceFitMaxError gauge. A
+// cell is solved in-process or by cfg.Remote, then placed at its
+// reference's coordinates.
+//
+// With cfg.WarmStarts, a local surface of more than one buffer runs each
+// column as an ascending-buffer warm-start chain (valid bounds, different
+// low-order digits, namespaced journal — see SweepConfig).
+func (s surface) sweep(ctx context.Context, cfg SweepConfig) ([]Point, error) {
+	rec := cfg.Solver.Recorder
+	columns := make([]func() (column, error), s.nc)
+	for c := range columns {
+		columns[c] = sync.OnceValues(func() (column, error) {
+			ref, err := s.ref(c)
+			if err != nil || cfg.Remote != nil {
+				// A remote cell is realized by the fleet.
+				return column{ref: ref}, err
+			}
+			src, err := cfg.Model.Realize(ref)
+			if fq, ok := src.(source.FitQuality); ok && rec != nil {
+				rec.Set(obs.MetricSourceFitMaxError, fq.FitMaxError())
+			}
+			return column{ref: ref, src: src}, err
+		})
 	}
-	entries := make([]entry, n)
-	return func(c int) (column, error) {
-		e := &entries[c]
-		e.once.Do(func() { e.col, e.err = build(c) })
-		return e.col, e.err
+	compute := func(ctx context.Context, i int, seed *solver.Seed) (Point, *solver.Seed, error) {
+		c, b := i%s.nc, s.buffers[i/s.nc]
+		col, err := columns[c]()
+		if err != nil {
+			return Point{}, nil, err
+		}
+		var p Point
+		var next *solver.Seed
+		if cfg.Remote != nil {
+			p, err = cfg.Remote(ctx, RemoteCell{
+				Ref: col.ref, Model: cfg.Model, Util: s.util, NormalizedBuffer: b,
+				Config: cfg.Solver,
+			})
+		} else {
+			p, next, err = solveCell(ctx, col.src, s.util, b, cfg.Solver, seed)
+		}
+		if err != nil {
+			return Point{}, nil, err
+		}
+		p = atReference(p, col.ref, b, rec)
+		if s.place != nil {
+			s.place(&p, c)
+		}
+		return p, next, nil
 	}
+	n := len(s.buffers) * s.nc
+	chains := cellChains(n)
+	if cfg.WarmStarts && cfg.Remote == nil && len(s.buffers) > 1 {
+		// Warm results differ from cold ones in their low-order digits, so
+		// they journal under their own namespace: a warm run never replays a
+		// cold journal and vice versa.
+		cfg.Prefix += "warm=1|"
+		chains = bufferChains(s.buffers, s.nc)
+	}
+	return gridSweep(ctx, cfg, n, chains, s.key, compute)
+}
+
+// bufferChains partitions a surface's cells into per-column chains ordered
+// by ascending buffer — the direction the warm-start coupling argument
+// permits. No such ordering exists along a column axis such as the cutoff
+// (the work increment takes both signs), so chains never cross columns.
+func bufferChains(buffers []float64, nc int) [][]int {
+	order := make([]int, len(buffers))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return buffers[order[a]] < buffers[order[b]] })
+	chains := make([][]int, nc)
+	for c := range chains {
+		chain := make([]int, len(buffers))
+		for k, bi := range order {
+			chain[k] = bi*nc + c
+		}
+		chains[c] = chain
+	}
+	return chains
 }
 
 // LossVsBufferAndCutoff computes the model loss surface of Figs. 4 and 5:
 // loss rate over a (normalized buffer, cutoff lag) grid at fixed
 // utilization. On context cancellation it returns the completed cells
 // alongside the context error, so a sweep always yields its partial rows.
-//
-// Cells share each cutoff column's reference and realized source
-// (bit-identical results); with cfg.WarmStarts each column additionally
-// runs as an ascending-buffer warm-start chain (valid bounds, different
-// low-order digits, namespaced journal — see SweepConfig).
+// With cfg.WarmStarts each cutoff column runs as an ascending-buffer
+// warm-start chain (see SweepConfig).
 func LossVsBufferAndCutoff(ctx context.Context, tm TraceModel, util float64, buffers, cutoffs []float64, cfg SweepConfig) ([]Point, error) {
 	if len(buffers) == 0 || len(cutoffs) == 0 {
 		return nil, errors.New("core: empty parameter grid")
 	}
 	nc := len(cutoffs)
-	n := len(buffers) * nc
-	key := func(i int) string {
-		return "bufcut|u=" + fkey(util) + "|b=" + fkey(buffers[i/nc]) + "|tc=" + fkey(cutoffs[i%nc])
-	}
-	columns := newColumnCache(nc, func(c int) (column, error) {
-		ref, err := tm.Source(cutoffs[c])
-		if err != nil || cfg.Remote != nil {
-			// A remote cell is realized by the fleet.
-			return column{ref: ref}, err
-		}
-		src, err := realizeModel(cfg, ref)
-		return column{ref: ref, src: src}, err
-	})
-	compute := func(ctx context.Context, i int, seed *solver.Seed) (Point, *solver.Seed, error) {
-		b := buffers[i/nc]
-		col, err := columns(i % nc)
-		if err != nil {
-			return Point{}, nil, err
-		}
-		if cfg.Remote != nil {
-			p, err := realizeCell(ctx, cfg, col.ref, util, b)
-			return p, nil, err
-		}
-		return solveCell(ctx, col.ref, col.src, util, b, cfg.Solver, seed)
-	}
-	if cfg.WarmStarts && cfg.Remote == nil {
-		// Warm results differ from cold ones in their low-order digits, so
-		// they journal under their own namespace: a warm run never replays a
-		// cold journal and vice versa.
-		cfg.Prefix += "warm=1|"
-		return gridSweepChained(ctx, cfg, n, bufferChains(buffers, nc), key, compute)
-	}
-	return gridSweep(ctx, cfg, n, key, func(ctx context.Context, i int) (Point, error) {
-		p, _, err := compute(ctx, i, nil)
-		return p, err
-	})
+	return surface{
+		util: util, buffers: buffers, nc: nc,
+		ref: func(c int) (fluid.Source, error) { return tm.Source(cutoffs[c]) },
+		key: func(i int) string {
+			return "bufcut|u=" + fkey(util) + "|b=" + fkey(buffers[i/nc]) + "|tc=" + fkey(cutoffs[i%nc])
+		},
+	}.sweep(ctx, cfg)
 }
 
 // LossVsCutoffFixedTheta reproduces Fig. 9: loss rate versus cutoff lag
@@ -556,15 +617,13 @@ func LossVsCutoffFixedTheta(ctx context.Context, marginal dist.Marginal, util, n
 	}
 	alpha := dist.AlphaFromHurst(hurst)
 	keyBase := "cutfix|u=" + fkey(util) + "|b=" + fkey(nbuf) + "|th=" + fkey(theta) + "|h=" + fkey(hurst)
-	return gridSweep(ctx, cfg, len(cutoffs),
-		func(i int) string { return keyBase + "|tc=" + fkey(cutoffs[i]) },
-		func(ctx context.Context, i int) (Point, error) {
-			src, err := fluid.New(marginal, dist.TruncatedPareto{Theta: theta, Alpha: alpha, Cutoff: cutoffs[i]})
-			if err != nil {
-				return Point{}, err
-			}
-			return realizeCell(ctx, cfg, src, util, nbuf)
-		})
+	return surface{
+		util: util, buffers: []float64{nbuf}, nc: len(cutoffs),
+		ref: func(c int) (fluid.Source, error) {
+			return fluid.New(marginal, dist.TruncatedPareto{Theta: theta, Alpha: alpha, Cutoff: cutoffs[c]})
+		},
+		key: func(i int) string { return keyBase + "|tc=" + fkey(cutoffs[i]) },
+	}.sweep(ctx, cfg)
 }
 
 // LossVsHurstAndScale reproduces Fig. 10: loss over a (Hurst, marginal
@@ -574,26 +633,19 @@ func LossVsHurstAndScale(ctx context.Context, tm TraceModel, util, nbuf float64,
 	if len(hursts) == 0 || len(scales) == 0 {
 		return nil, errors.New("core: empty parameter grid")
 	}
+	na := len(scales)
 	keyBase := "hscale|u=" + fkey(util) + "|b=" + fkey(nbuf)
-	return gridSweep(ctx, cfg, len(hursts)*len(scales),
-		func(i int) string {
-			return keyBase + "|h=" + fkey(hursts[i/len(scales)]) + "|a=" + fkey(scales[i%len(scales)])
+	return surface{
+		util: util, buffers: []float64{nbuf}, nc: len(hursts) * na,
+		ref: func(c int) (fluid.Source, error) {
+			src, err := tm.SourceWithHurst(hursts[c/na], math.Inf(1))
+			return src.WithMarginal(tm.Marginal.Scale(scales[c%na])), err
 		},
-		func(ctx context.Context, i int) (Point, error) {
-			h := hursts[i/len(scales)]
-			a := scales[i%len(scales)]
-			src, err := tm.SourceWithHurst(h, math.Inf(1))
-			if err != nil {
-				return Point{}, err
-			}
-			src = src.WithMarginal(tm.Marginal.Scale(a))
-			p, err := realizeCell(ctx, cfg, src, util, nbuf)
-			if err != nil {
-				return Point{}, err
-			}
-			p.Hurst, p.Scale = h, a
-			return p, nil
-		})
+		key: func(i int) string {
+			return keyBase + "|h=" + fkey(hursts[i/na]) + "|a=" + fkey(scales[i%na])
+		},
+		place: func(p *Point, c int) { p.Hurst, p.Scale = hursts[c/na], scales[c%na] },
+	}.sweep(ctx, cfg)
 }
 
 // LossVsHurstAndStreams reproduces Fig. 11: loss over a (Hurst, number of
@@ -616,53 +668,41 @@ func LossVsHurstAndStreams(ctx context.Context, tm TraceModel, util, nbuf float6
 		}
 		margs[j] = sm
 	}
+	ns := len(streams)
 	keyBase := "hstreams|u=" + fkey(util) + "|b=" + fkey(nbuf)
-	return gridSweep(ctx, cfg, len(hursts)*len(streams),
-		func(i int) string {
-			return keyBase + "|h=" + fkey(hursts[i/len(streams)]) + "|n=" + strconv.Itoa(streams[i%len(streams)])
+	return surface{
+		util: util, buffers: []float64{nbuf}, nc: len(hursts) * ns,
+		ref: func(c int) (fluid.Source, error) {
+			src, err := tm.SourceWithHurst(hursts[c/ns], math.Inf(1))
+			return src.WithMarginal(margs[c%ns]), err
 		},
-		func(ctx context.Context, i int) (Point, error) {
-			h := hursts[i/len(streams)]
-			j := i % len(streams)
-			src, err := tm.SourceWithHurst(h, math.Inf(1))
-			if err != nil {
-				return Point{}, err
-			}
-			src = src.WithMarginal(margs[j])
-			p, err := realizeCell(ctx, cfg, src, util, nbuf)
-			if err != nil {
-				return Point{}, err
-			}
-			p.Hurst, p.Streams = h, streams[j]
-			return p, nil
-		})
+		key: func(i int) string {
+			return keyBase + "|h=" + fkey(hursts[i/ns]) + "|n=" + strconv.Itoa(streams[i%ns])
+		},
+		place: func(p *Point, c int) { p.Hurst, p.Streams = hursts[c/ns], streams[c%ns] },
+	}.sweep(ctx, cfg)
 }
 
 // LossVsBufferAndScale reproduces Figs. 12 and 13: loss over a (normalized
-// buffer, marginal scaling factor) grid with an infinite cutoff.
+// buffer, marginal scaling factor) grid with an infinite cutoff. With
+// cfg.WarmStarts each scale column runs as an ascending-buffer warm-start
+// chain (see SweepConfig).
 func LossVsBufferAndScale(ctx context.Context, tm TraceModel, util float64, buffers, scales []float64, cfg SweepConfig) ([]Point, error) {
 	if len(buffers) == 0 || len(scales) == 0 {
 		return nil, errors.New("core: empty parameter grid")
 	}
-	return gridSweep(ctx, cfg, len(buffers)*len(scales),
-		func(i int) string {
-			return "bscale|u=" + fkey(util) + "|b=" + fkey(buffers[i/len(scales)]) + "|a=" + fkey(scales[i%len(scales)])
-		},
-		func(ctx context.Context, i int) (Point, error) {
-			b := buffers[i/len(scales)]
-			a := scales[i%len(scales)]
+	na := len(scales)
+	return surface{
+		util: util, buffers: buffers, nc: na,
+		ref: func(c int) (fluid.Source, error) {
 			src, err := tm.Source(math.Inf(1))
-			if err != nil {
-				return Point{}, err
-			}
-			src = src.WithMarginal(tm.Marginal.Scale(a))
-			p, err := realizeCell(ctx, cfg, src, util, b)
-			if err != nil {
-				return Point{}, err
-			}
-			p.Scale = a
-			return p, nil
-		})
+			return src.WithMarginal(tm.Marginal.Scale(scales[c])), err
+		},
+		key: func(i int) string {
+			return "bscale|u=" + fkey(util) + "|b=" + fkey(buffers[i/na]) + "|a=" + fkey(scales[i%na])
+		},
+		place: func(p *Point, c int) { p.Scale = scales[c] },
+	}.sweep(ctx, cfg)
 }
 
 // BoundSnapshot is the occupancy-bound state after a given iteration count

@@ -85,7 +85,8 @@ type RunOptions struct {
 	// Remote, when non-nil, sends each cell's realize+solve to a remote
 	// fleet instead of the in-process solver (see SweepConfig.Remote).
 	Remote RemoteSolveFunc
-	// WarmStarts chains cross-cell warm starts along the buffer axis (see
+	// WarmStarts chains cross-cell warm starts up the buffer columns of
+	// every solved surface with more than one buffer (see
 	// SweepConfig.WarmStarts).
 	WarmStarts bool
 }
@@ -105,8 +106,8 @@ func (o RunOptions) sweepConfig(id string) SweepConfig {
 		Prefix:  fmt.Sprintf("%s|seed=%d|quick=%t|cfg=%s|model=%s|", id, o.Seed, o.Quick, solver.ConfigHash(o.Solver), o.Model.Key()),
 		Workers: o.Workers,
 		Remote:  o.Remote,
-		// Warm sweeps namespace their own journal keys (see
-		// LossVsBufferAndCutoff), so the prefix here stays shared.
+		// Warm sweeps namespace their own journal keys (see surface.sweep),
+		// so the prefix here stays shared.
 		WarmStarts: o.WarmStarts,
 	}
 }

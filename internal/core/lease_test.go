@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -486,6 +489,67 @@ func TestRunCellWithLeaseStore(t *testing.T) {
 		s.mu.Unlock()
 		if held != 0 {
 			t.Fatalf("%s still holds %d lease(s)", s.worker, held)
+		}
+	}
+}
+
+// TestShuffleSurfaceLeased: two workers sharing one journal run the same
+// shuffle surface concurrently. Each returns the journal-less surface, and
+// the journal completes every cell exactly once, under a lease (epoch ≥ 1).
+func TestShuffleSurfaceLeased(t *testing.T) {
+	tr := quickTrace(t, 3)
+	buffers := []float64{0.05, 0.2, 1}
+	blocks := []float64{0.5, 5, math.Inf(1)}
+	run := func(cfg SweepConfig) ([]ShufflePoint, error) {
+		return ShuffleLossSurface(context.Background(), tr, 0.85, buffers, blocks, rand.New(rand.NewSource(42)), cfg)
+	}
+	clean, err := run(SweepConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := leasePath(t)
+	stores := []*LeaseStore{openLease(t, path, "w1", time.Minute), openLease(t, path, "w2", time.Minute)}
+	got := make([][]ShufflePoint, len(stores))
+	errs := make([]error, len(stores))
+	var wg sync.WaitGroup
+	for w, s := range stores {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w], errs[w] = run(SweepConfig{Store: s, Prefix: "t|"})
+		}()
+	}
+	wg.Wait()
+	for w := range stores {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: %v", w+1, errs[w])
+		}
+		if !reflect.DeepEqual(got[w], clean) {
+			t.Fatalf("worker %d surface differs from the journal-less run:\ngot   %+v\nclean %+v", w+1, got[w], clean)
+		}
+	}
+
+	recs, stats, err := journal.Load(path)
+	if err != nil || stats.Corrupt() != 0 {
+		t.Fatalf("load: stats=%+v err=%v", stats, err)
+	}
+	oks := map[string]int{}
+	for _, r := range recs {
+		if r.Status != journal.StatusOK {
+			continue
+		}
+		if r.Epoch < 1 {
+			t.Errorf("cell %q completed without a lease (epoch %d)", r.Key, r.Epoch)
+		}
+		oks[r.Key]++
+	}
+	if len(oks) != len(clean) {
+		t.Fatalf("journal completes %d cells, want %d", len(oks), len(clean))
+	}
+	for key, n := range oks {
+		if n != 1 {
+			t.Errorf("cell %q has %d ok records, want 1", key, n)
 		}
 	}
 }

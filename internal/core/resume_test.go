@@ -329,9 +329,10 @@ func TestShuffleSurfaceResumeDeterministic(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	// One worker, so the cancellation lands before every cell is dispatched.
 	partial, err := ShuffleLossSurface(ctx, tr, 0.85, buffers, blocks,
 		rand.New(rand.NewSource(42)),
-		SweepConfig{Store: &cancelAfterStores{CellStore: store, cancel: cancel, limit: 1}, Prefix: "t|"})
+		SweepConfig{Store: &cancelAfterStores{CellStore: store, cancel: cancel, limit: 1}, Prefix: "t|", Workers: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err %v, want context.Canceled", err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -10,9 +9,9 @@ import (
 	"sort"
 
 	"lrd/internal/horizon"
-	"lrd/internal/obs"
 	"lrd/internal/shuffle"
 	"lrd/internal/sim"
+	"lrd/internal/solver"
 	"lrd/internal/traces"
 )
 
@@ -31,15 +30,16 @@ type ShufflePoint struct {
 // math.Inf(1) means no shuffling (the original trace). The service rate is
 // set from the trace's mean rate and the requested utilization.
 //
-// The context is observed between cells: on cancellation the completed
-// points are returned together with the context's error, so an interrupted
-// sweep still yields its partial surface.
-//
-// With a cfg.Store the surface is resumable: each simulated cell is
-// journaled, and journaled cells skip the queue simulation on resume. The
-// shuffle itself always runs — it consumes the rng, and skipping it would
-// desynchronize later blocks' shuffles between an interrupted run and its
-// resume.
+// The block × buffer cells (cell i at block i/len(buffers), buffer
+// i%len(buffers)) run through the sweep engine like every solved surface:
+// on the worker pool, with cell telemetry, journaled and resumable through
+// cfg.Store, and leased when the store is shared by a fleet. On
+// cancellation the completed points are returned together with the
+// context's error, so an interrupted sweep still yields its partial
+// surface. Every block is shuffled first, in block order, even on resume:
+// the shuffles consume the rng, and skipping one would desynchronize later
+// blocks' shuffles between an interrupted run and its resume. All blocks'
+// series are held at once.
 func ShuffleLossSurface(ctx context.Context, tr traces.Trace, util float64, buffers, blocks []float64, rng *rand.Rand, cfg SweepConfig) ([]ShufflePoint, error) {
 	if len(tr.Rates) == 0 {
 		return nil, errors.New("core: empty trace")
@@ -50,60 +50,35 @@ func ShuffleLossSurface(ctx context.Context, tr traces.Trace, util float64, buff
 	if !(util > 0 && util < 1) {
 		return nil, fmt.Errorf("core: utilization %v outside (0, 1)", util)
 	}
-	c := tr.MeanRate() / util
-	out := make([]ShufflePoint, 0, len(buffers)*len(blocks))
-	for _, blk := range blocks {
-		// The shuffle must run even on a canceled context (and on cached
-		// cells) so the rng consumption — and hence later blocks' shuffles —
-		// stays deterministic regardless of where the interruption lands;
-		// the cheap check below still stops the expensive queue simulations
-		// promptly.
-		var series []float64
-		switch {
-		case math.IsInf(blk, 1):
-			series = tr.Rates
-		default:
-			nbins := int(math.Round(blk / tr.BinWidth))
-			if nbins < 1 {
-				nbins = 1
-			}
-			var err error
-			series, err = shuffle.External(tr.Rates, nbins, rng)
-			if err != nil {
-				return nil, err
-			}
+	series := make([][]float64, len(blocks))
+	for k, blk := range blocks {
+		if math.IsInf(blk, 1) {
+			series[k] = tr.Rates
+			continue
 		}
-		for _, b := range buffers {
-			if err := ctx.Err(); err != nil {
-				return out, err
-			}
-			key := cfg.Prefix + "shuffle|u=" + fkey(util) + "|b=" + fkey(b) + "|blk=" + fkey(blk)
-			if cfg.Store != nil {
-				if raw, ok := cfg.Store.Lookup(key); ok {
-					var p ShufflePoint
-					if err := json.Unmarshal(raw, &p); err == nil {
-						if rec := cfg.Solver.Recorder; rec != nil {
-							rec.Add(obs.MetricCoreCellsResumed, 1)
-						}
-						out = append(out, p)
-						continue
-					}
-				}
-			}
-			st, err := sim.RunBinnedTrace(series, tr.BinWidth, c, b*c)
-			if err != nil {
-				return nil, err
-			}
-			p := ShufflePoint{NormalizedBuffer: b, BlockLen: blk, Loss: st.LossRate()}
-			if cfg.Store != nil {
-				if err := cfg.Store.Store(key, p); err != nil {
-					return out, err
-				}
-			}
-			out = append(out, p)
+		nbins := int(math.Round(blk / tr.BinWidth))
+		if nbins < 1 {
+			nbins = 1
+		}
+		var err error
+		if series[k], err = shuffle.External(tr.Rates, nbins, rng); err != nil {
+			return nil, err
 		}
 	}
-	return out, nil
+	c := tr.MeanRate() / util
+	nb := len(buffers)
+	n := len(blocks) * nb
+	key := func(i int) string {
+		return "shuffle|u=" + fkey(util) + "|b=" + fkey(buffers[i%nb]) + "|blk=" + fkey(blocks[i/nb])
+	}
+	return gridSweep(ctx, cfg, n, cellChains(n), key, func(_ context.Context, i int, _ *solver.Seed) (ShufflePoint, *solver.Seed, error) {
+		b := buffers[i%nb]
+		st, err := sim.RunBinnedTrace(series[i/nb], tr.BinWidth, c, b*c)
+		if err != nil {
+			return ShufflePoint{}, nil, err
+		}
+		return ShufflePoint{NormalizedBuffer: b, BlockLen: blocks[i/nb], Loss: st.LossRate()}, nil, nil
+	})
 }
 
 // HorizonScaling reproduces the Fig. 14 analysis: from a shuffle (or model)

@@ -263,13 +263,14 @@ type SweepConfig struct {
 	// resilient client) instead of the in-process solver. Journaling,
 	// leasing, and retries still run locally — only the numeric work moves.
 	Remote RemoteSolveFunc
-	// WarmStarts chains cross-cell warm starts along the buffer axis where
-	// a sweep supports it (LossVsBufferAndCutoff): each cell's bound
-	// iteration is seeded from its smaller-buffer neighbor's final
-	// occupancy vectors. Bounds stay provably valid (see solver.Seed) but
-	// land elsewhere inside the bracket than a cold solve's, so warm sweeps
-	// journal under a "warm=1|"-extended prefix and never share journals
-	// with cold runs. Ignored for remote cells.
+	// WarmStarts chains cross-cell warm starts up each buffer column of a
+	// solved surface with more than one buffer (LossVsBufferAndCutoff,
+	// LossVsBufferAndScale): each cell's bound iteration is seeded from its
+	// smaller-buffer neighbor's final occupancy vectors. Bounds stay
+	// provably valid (see solver.Seed) but land elsewhere inside the
+	// bracket than a cold solve's, so warm sweeps journal under a
+	// "warm=1|"-extended prefix and never share journals with cold runs.
+	// Ignored for remote cells and single-buffer surfaces.
 	WarmStarts bool
 }
 

@@ -25,37 +25,14 @@
 //
 // Twiddle factors for the radix-2 kernel are precomputed per transform
 // size and cached process-wide (the solver hits the same handful of sizes
-// millions of times during a sweep). SetRecorder attaches a telemetry
-// recorder counting plan-cache hits/misses, transform sizes, and which
-// path (direct vs. FFT) each ConvolveReal call took.
+// millions of times during a sweep).
 package fft
 
 import (
 	"math"
 	"math/bits"
 	"sync"
-	"sync/atomic"
-
-	"lrd/internal/obs"
 )
-
-// recBox wraps the recorder so a nil interface can be stored in
-// atomic.Value (which rejects inconsistently-typed or nil values).
-type recBox struct{ r obs.Recorder }
-
-var globalRec atomic.Value // recBox
-
-// SetRecorder attaches a telemetry recorder to the package's transform and
-// convolution entry points; nil detaches it. Safe for concurrent use with
-// running transforms.
-func SetRecorder(r obs.Recorder) { globalRec.Store(recBox{r}) }
-
-func recorder() obs.Recorder {
-	if b, ok := globalRec.Load().(recBox); ok {
-		return b.r
-	}
-	return nil
-}
 
 // directConvolutionCrossover is the work bound (len(a)*len(b)) below which
 // ConvolveReal's O(n·m) direct path beats its FFT path.
@@ -85,13 +62,7 @@ var planCache sync.Map // int -> *plan
 // planFor returns the (possibly cached) twiddle plan for size n.
 func planFor(n int) *plan {
 	if v, ok := planCache.Load(n); ok {
-		if rec := recorder(); rec != nil {
-			rec.Add(obs.MetricFFTPlanHits, 1)
-		}
 		return v.(*plan)
-	}
-	if rec := recorder(); rec != nil {
-		rec.Add(obs.MetricFFTPlanMisses, 1)
 	}
 	p := buildPlan(n)
 	if n <= maxCachedPlanSize {
@@ -167,9 +138,6 @@ func transform(x []complex128, inverse bool) {
 // per-step solver convolution otherwise.
 func radix2(x []complex128, inverse bool) {
 	n := len(x)
-	if rec := recorder(); rec != nil {
-		rec.Observe(obs.MetricFFTTransformSize, float64(n))
-	}
 	// Bit-reversal permutation: j is i with its log₂n bits reversed, so
 	// incrementing i adds one to j from the top bit down.
 	for i, j := 1, 0; i < n; i++ {
@@ -299,13 +267,7 @@ func ConvolveReal(a, b []float64) []float64 {
 	}
 	out := make([]float64, len(a)+len(b)-1)
 	if directConvolutionSizes(len(a), len(b)) {
-		if rec := recorder(); rec != nil {
-			rec.Add(obs.MetricFFTConvolveNaive, 1)
-		}
 		return convolveNaive(a, b, out)
-	}
-	if rec := recorder(); rec != nil {
-		rec.Add(obs.MetricFFTConvolveViaFFT, 1)
 	}
 	m := 1
 	for m < len(out) {

@@ -6,17 +6,12 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
-
-	"lrd/internal/obs"
 )
 
 // radix2Ref is the one-stage-per-pass radix-2 kernel radix2 replaced, kept
 // verbatim as the reference its output must match bit for bit.
 func radix2Ref(x []complex128, inverse bool) {
 	n := len(x)
-	if rec := recorder(); rec != nil {
-		rec.Observe(obs.MetricFFTTransformSize, float64(n))
-	}
 	shift := 64 - uint(bits.TrailingZeros(uint(n)))
 	// Bit-reversal permutation.
 	for i := 0; i < n; i++ {

@@ -1,7 +1,7 @@
 // Package obs is the repository's zero-dependency telemetry layer: atomic
 // counters, gauges, and log-bucketed histograms collected in a Registry,
-// plus the Recorder interface the hot paths (solver steps, sweep workers,
-// FFT transforms) accept. A nil Recorder disables instrumentation entirely
+// plus the Recorder interface the hot paths (solver steps, sweep workers)
+// accept. A nil Recorder disables instrumentation entirely
 // — call sites guard with a single nil check and pass constant metric
 // names, so the uninstrumented path costs nothing and allocates nothing.
 //
@@ -14,10 +14,8 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -150,13 +148,6 @@ const (
 	MetricResilientHedges          = "resilient_hedges_total"
 	MetricResilientHedgeWins       = "resilient_hedge_wins_total"
 	MetricResilientRequestSeconds  = "resilient_request_seconds"
-
-	// FFT (internal/fft): plan cache and transform telemetry.
-	MetricFFTPlanHits       = "fft_plan_cache_hits_total"
-	MetricFFTPlanMisses     = "fft_plan_cache_misses_total"
-	MetricFFTTransformSize  = "fft_transform_size"
-	MetricFFTConvolveNaive  = "fft_convolve_direct_total"
-	MetricFFTConvolveViaFFT = "fft_convolve_fft_total"
 )
 
 // Labeled composes a labeled metric name, e.g.
@@ -543,25 +534,4 @@ func sanitizeFloat(v float64) float64 {
 	default:
 		return v
 	}
-}
-
-// Summary renders a compact sorted text dump of every metric, one per
-// line — handy in tests and ad-hoc debugging.
-func (s Snapshot) Summary() string {
-	var lines []string
-	for k, v := range s.Counters {
-		lines = append(lines, fmt.Sprintf("counter %s = %g", k, v))
-	}
-	for k, v := range s.Gauges {
-		lines = append(lines, fmt.Sprintf("gauge %s = %g", k, v))
-	}
-	for k, h := range s.Histograms {
-		lines = append(lines, fmt.Sprintf("histogram %s: count=%d mean=%g min=%g max=%g", k, h.Count, h.Mean, h.Min, h.Max))
-	}
-	sort.Strings(lines)
-	out := ""
-	for _, l := range lines {
-		out += l + "\n"
-	}
-	return out
 }

@@ -67,11 +67,6 @@ var metricHelp = map[string]string{
 	MetricServeQueueDepth:       "Admission-queue depth.",
 	MetricServeSolveSeconds:     "Wall time of one served solve.",
 	MetricServeRequestSeconds:   "Wall time of one request.",
-	MetricFFTPlanHits:           "FFT twiddle-plan cache hits.",
-	MetricFFTPlanMisses:         "FFT twiddle-plan cache misses.",
-	MetricFFTTransformSize:      "FFT transform sizes.",
-	MetricFFTConvolveNaive:      "Convolutions done directly.",
-	MetricFFTConvolveViaFFT:     "Convolutions done via FFT.",
 	MetricSourceFitMaxError:     "Sup-norm correlation-fit error of the active model.",
 }
 
