@@ -125,16 +125,16 @@ type Point struct {
 	Degraded solver.DegradeReason
 }
 
-// parallelMap runs f over n indices on a bounded worker pool. It returns a
-// per-index completion mask and the first error. When ctx is canceled,
-// dispatch stops, in-flight cells finish, and the returned error is
-// ctx.Err() — completed indices remain marked done, so callers can emit
-// partial, clearly-marked results instead of discarding the sweep.
+// parallelMap runs f over n indices on a bounded worker pool and returns
+// the first error. When ctx is canceled, dispatch stops, in-flight cells
+// finish, and the returned error is ctx.Err(); f records its own results,
+// so callers can emit partial, clearly-marked results instead of
+// discarding the sweep.
 //
 // A non-nil rec receives the sweep telemetry: cells planned/started/
 // completed, per-cell wall time, worker-pool size, and accumulated busy
 // time (worker utilization = busy seconds / (workers × sweep seconds)).
-func parallelMap(ctx context.Context, rec obs.Recorder, workers, n int, f func(i int) error) ([]bool, error) {
+func parallelMap(ctx context.Context, rec obs.Recorder, workers, n int, f func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
@@ -156,7 +156,6 @@ func parallelMap(ctx context.Context, rec obs.Recorder, workers, n int, f func(i
 	// (which would otherwise wait forever on the unbuffered jobs send).
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	done := make([]bool, n)
 	jobs := make(chan int)
 	errs := make(chan error, workers)
 	var wg sync.WaitGroup
@@ -184,7 +183,6 @@ func parallelMap(ctx context.Context, rec obs.Recorder, workers, n int, f func(i
 					cancel()
 					return
 				}
-				done[i] = true
 				if rec != nil {
 					rec.Add(obs.MetricCoreCellsCompleted, 1)
 				}
@@ -210,9 +208,9 @@ dispatch:
 	wg.Wait()
 	select {
 	case err := <-errs:
-		return done, err
+		return err
 	default:
-		return done, ctxErr
+		return ctxErr
 	}
 }
 
@@ -248,7 +246,7 @@ func gridSweep[C cellValue](ctx context.Context, cfg SweepConfig, n int, chains 
 	rec := cfg.Solver.Recorder
 	out := make([]C, n)
 	done := make([]bool, n) // written by workers, read after the pool drains
-	_, err := parallelMap(ctx, rec, cfg.Workers, len(chains), func(ci int) error {
+	err := parallelMap(ctx, rec, cfg.Workers, len(chains), func(ci int) error {
 		if len(chains[ci]) > 1 && rec != nil {
 			rec.Add(obs.MetricCoreWarmChains, 1)
 		}

@@ -533,7 +533,7 @@ func TestMTVAndBellcoreModels(t *testing.T) {
 
 func TestParallelMapPropagatesError(t *testing.T) {
 	ctx := context.Background()
-	_, err := parallelMap(ctx, nil, 0, 64, func(i int) error {
+	err := parallelMap(ctx, nil, 0, 64, func(i int) error {
 		if i == 17 {
 			return errTest
 		}
@@ -542,14 +542,16 @@ func TestParallelMapPropagatesError(t *testing.T) {
 	if err != errTest {
 		t.Fatalf("err = %v, want errTest", err)
 	}
-	if _, err := parallelMap(ctx, nil, 0, 0, func(int) error { return nil }); err != nil {
+	if err := parallelMap(ctx, nil, 0, 0, func(int) error { return nil }); err != nil {
 		t.Fatalf("empty map errored: %v", err)
 	}
-	// Order-independence: results land in their own slots, and the done
-	// mask marks every index.
+	// Order-independence: results land in their own slots, and every index
+	// runs.
 	out := make([]int, 100)
-	done, err := parallelMap(ctx, nil, 0, 100, func(i int) error {
+	ran := make([]bool, 100)
+	err = parallelMap(ctx, nil, 0, 100, func(i int) error {
 		out[i] = i * i
+		ran[i] = true
 		return nil
 	})
 	if err != nil {
@@ -559,8 +561,8 @@ func TestParallelMapPropagatesError(t *testing.T) {
 		if v != i*i {
 			t.Fatalf("slot %d = %d", i, v)
 		}
-		if !done[i] {
-			t.Fatalf("slot %d not marked done", i)
+		if !ran[i] {
+			t.Fatalf("slot %d never ran", i)
 		}
 	}
 }
@@ -570,12 +572,16 @@ func TestParallelMapCancellation(t *testing.T) {
 	// nothing marked done.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	done, err := parallelMap(ctx, nil, 0, 32, func(i int) error { return nil })
+	ran := make([]bool, 32)
+	err := parallelMap(ctx, nil, 0, len(ran), func(i int) error {
+		ran[i] = true
+		return nil
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	for i, d := range done {
-		if d {
+	for i, r := range ran {
+		if r {
 			t.Fatalf("index %d ran despite canceled context", i)
 		}
 	}
@@ -584,18 +590,20 @@ func TestParallelMapCancellation(t *testing.T) {
 	// plausible worker count so completion stays partial.
 	const n = 1 << 14
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	done2, err2 := parallelMap(ctx2, nil, 0, n, func(i int) error {
+	ran2 := make([]bool, n)
+	err2 := parallelMap(ctx2, nil, 0, n, func(i int) error {
 		if i == 3 {
 			cancel2()
 		}
+		ran2[i] = true
 		return nil
 	})
 	if !errors.Is(err2, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err2)
 	}
 	completed := 0
-	for _, d := range done2 {
-		if d {
+	for _, r := range ran2 {
+		if r {
 			completed++
 		}
 	}

@@ -13,19 +13,27 @@
 // packing is undone by one Hermitian split (split), so ConvolveReal and
 // Pair share it.
 //
-// The radix-2 kernel permutes its input into bit-reversed order by
-// advancing the reversed index with a carry that runs from the top bit
-// down, then fuses the butterfly stages two per pass over memory (halves h
-// and 2h over blocks of 4h, the four intermediate values held in locals;
-// an odd log₂n runs its first stage alone). Every value still goes
-// through the same butterflies, with the same twiddles, in the same order
-// as in one pass per stage, so each output has the same bits as the
-// unfused kernel's. The one exception is the payload and sign of a NaN,
-// which depend on the operand order the compiler picks.
+// The radix-2 kernel (radix2) permutes its input into bit-reversed order
+// by advancing the reversed index with a carry that runs from the top bit
+// down, then runs ditPasses, which fuses the butterfly stages two per pass
+// over memory (halves h and 2h over blocks of 4h, the four intermediate
+// values held in locals; an odd log₂n runs its first stage alone). Every
+// value still goes through the same butterflies, with the same twiddles,
+// in the same order as in one pass per stage, so each output has the same
+// bits as the unfused kernel's. The one exception is the payload and sign
+// of a NaN, which depend on the operand order the compiler picks.
 //
-// Twiddle factors for the radix-2 kernel are precomputed per transform
-// size and cached process-wide (the solver hits the same handful of sizes
-// millions of times during a sweep).
+// A Pair needs no permutation at all, because its spectrum is only
+// multiplied pointwise and transformed back: its forward transform is
+// difPasses, the transpose of ditPasses (decimation in frequency, from
+// natural order to a bit-reversed spectrum), it takes the product in
+// bit-reversed order, and its inverse is ditPasses alone, from
+// bit-reversed order back to natural order. Its output therefore differs
+// from the permuting pipeline's in the last bits only.
+//
+// Twiddle factors are precomputed per transform size and cached
+// process-wide in one plan that both pass kernels read (the solver hits
+// the same handful of sizes millions of times during a sweep).
 package fft
 
 import (
@@ -131,11 +139,10 @@ func transform(x []complex128, inverse bool) {
 }
 
 // radix2 computes an unnormalized in-place DFT for power-of-two lengths
-// using the iterative decimation-in-time Cooley–Tukey algorithm, two
-// stages per pass over x. The twiddle factors come from the process-wide
-// plan cache, so after the first transform of a given size the kernel
-// performs no trigonometry at all — the dominant setup cost of the
-// per-step solver convolution otherwise.
+// using the iterative decimation-in-time Cooley–Tukey algorithm: the
+// bit-reversal permutation, then ditPasses. The twiddle factors come from
+// the process-wide plan cache, so after the first transform of a given
+// size the kernel performs no trigonometry at all.
 func radix2(x []complex128, inverse bool) {
 	n := len(x)
 	// Bit-reversal permutation: j is i with its log₂n bits reversed, so
@@ -155,6 +162,15 @@ func radix2(x []complex128, inverse bool) {
 	if inverse {
 		tw = p.inv
 	}
+	ditPasses(x, tw)
+}
+
+// ditPasses runs the butterfly stages of a decimation-in-time transform of
+// the power-of-two length len(x) with twiddle table tw (a plan's fwd or
+// inv), two stages per pass over x: from bit-reversed input to a
+// natural-order spectrum.
+func ditPasses(x, tw []complex128) {
+	n := len(x)
 	h := 1
 	if bits.TrailingZeros(uint(n))%2 == 1 {
 		// Odd log₂n: the first stage runs alone, the rest in pairs.
@@ -207,6 +223,59 @@ func radix2(x []complex128, inverse bool) {
 				c1 := d2 * w2b[k]
 				x1[k], x3[k] = d0+c1, d0-c1
 			}
+		}
+	}
+}
+
+// difPasses is the transpose of ditPasses: the decimation-in-frequency
+// transform of the power-of-two length len(x) with twiddle table tw, from
+// natural-order input to a spectrum in bit-reversed order (position p
+// holds bin rev(p)), with no permutation. Each pass runs the stages with
+// halves 2h then h over blocks of 4h, for h = n/4, n/16, …: at offset k of
+// a block's quarters x0…x3, the half-2h butterflies join (x0, x2) with
+// twiddle w2a[k] = w_{4h}^k and (x1, x3) with w2b[k] = w_{4h}^{h+k}, then
+// the half-h ones join both pairs of results with w1[k] = w_{2h}^k. An odd
+// log₂n runs its last stage alone.
+func difPasses(x, tw []complex128) {
+	n := len(x)
+	h := n / 4
+	for ; h > 1; h /= 4 {
+		w1 := tw[h-1 : 2*h-1]
+		w2a := tw[2*h-1 : 3*h-1][:len(w1)]
+		w2b := tw[3*h-1 : 4*h-1][:len(w1)]
+		for i := 0; i < n; i += 4 * h {
+			x0 := x[i : i+h][:len(w1)]
+			x1 := x[i+h : i+2*h][:len(w1)]
+			x2 := x[i+2*h : i+3*h][:len(w1)]
+			x3 := x[i+3*h : i+4*h][:len(w1)]
+			for k := range w1 {
+				a0, a2 := x0[k], x2[k]
+				s0, d0 := a0+a2, (a0-a2)*w2a[k]
+				a1, a3 := x1[k], x3[k]
+				s1, d1 := a1+a3, (a1-a3)*w2b[k]
+				x0[k], x1[k] = s0+s1, (s0-s1)*w1[k]
+				x2[k], x3[k] = d0+d1, (d0-d1)*w1[k]
+			}
+		}
+	}
+	if h == 1 {
+		// Even log₂n: the last pair of stages has one twiddle per quarter
+		// block.
+		w1, w2a, w2b := tw[0], tw[1], tw[2]
+		for i := 0; i < n; i += 4 {
+			q := x[i : i+4 : i+4]
+			s0, d0 := q[0]+q[2], (q[0]-q[2])*w2a
+			s1, d1 := q[1]+q[3], (q[1]-q[3])*w2b
+			q[0], q[1] = s0+s1, (s0-s1)*w1
+			q[2], q[3] = d0+d1, (d0-d1)*w1
+		}
+	} else if n >= 2 {
+		// Odd log₂n: the last stage runs alone.
+		w := tw[0]
+		for i := 0; i < n; i += 2 {
+			q := x[i : i+2 : i+2]
+			a, b := q[0], q[1]
+			q[0], q[1] = a+b, (a-b)*w
 		}
 	}
 }

@@ -7,13 +7,23 @@ package fft
 // whose imaginary part is x2 ⊛ w2. SetKernels transforms the kernels once;
 // each Convolve then costs two n-point transforms and allocates nothing.
 //
+// Neither transform permutes. The forward one (difPasses) leaves the
+// spectrum in bit-reversed order, the product is taken in that order, and
+// the inverse (ditPasses) takes it back to natural order. In bit-reversed
+// order, positions 0 and 1 hold bins 0 and n/2, each its own mirror; for
+// b = 2, 4, …, n/2, position p ∈ [b, 3b/2) holds bin k = rev(p), and its
+// mirror bin n − k sits at position 3b − 1 − p.
+//
 // A Pair is owned by one goroutine at a time. The zero value is ready for
 // SetKernels, and its buffers grow on demand and are reused afterwards.
 type Pair struct {
-	n int
+	n    int
+	plan *plan
 	// k1 and k2 are the kernels' half-spectra, bins 0..n/2, divided by n
-	// so the inverse transform needs no normalization. The other half
-	// follows by Hermitian symmetry.
+	// so the inverse transform needs no normalization. Index 0 holds bin
+	// 0, index n/2 bin n/2, and index p − b/2 the bin at position
+	// p ∈ [b, 3b/2) of the bit-reversed order. The other half follows by
+	// Hermitian symmetry.
 	k1, k2 []complex128
 	z      []complex128 // transform workspace, length n
 }
@@ -26,16 +36,28 @@ func (p *Pair) SetKernels(n int, w1, w2 []float64) {
 		panic("fft: Pair.SetKernels needs a power-of-two length no shorter than the kernels")
 	}
 	p.n = n
+	p.plan = planFor(n)
 	p.z = grown(p.z, n)
 	z := p.z
 	pack(z, w1, w2)
-	radix2(z, false)
-	p.k1, p.k2 = grown(p.k1, n/2+1), grown(p.k2, n/2+1)
+	difPasses(z, p.plan.fwd)
+	k1, k2 := grown(p.k1, n/2+1), grown(p.k2, n/2+1)
+	p.k1, p.k2 = k1, k2
 	inv := 1 / float64(n)
-	for k := range p.k1 {
-		a1, a2 := split(z[k], z[(n-k)&(n-1)])
-		p.k1[k] = complex(real(a1)*inv, imag(a1)*inv)
-		p.k2[k] = complex(real(a2)*inv, imag(a2)*inv)
+	set := func(i int, zk, zkr complex128) {
+		a1, a2 := split(zk, zkr)
+		k1[i] = complex(real(a1)*inv, imag(a1)*inv)
+		k2[i] = complex(real(a2)*inv, imag(a2)*inv)
+	}
+	set(0, z[0], z[0])
+	if n >= 2 {
+		set(n/2, z[1], z[1])
+	}
+	for b := 2; b < n; b *= 2 {
+		h := b / 2
+		for i := 0; i < h; i++ {
+			set(h+i, z[b+i], z[2*b-1-i])
+		}
 	}
 }
 
@@ -50,21 +72,36 @@ func (p *Pair) Convolve(x1, x2 []float64) []complex128 {
 	n := p.n
 	z := p.z[:n]
 	pack(z, x1, x2)
-	radix2(z, false)
+	difPasses(z, p.plan.fwd)
 	k1, k2 := p.k1[:n/2+1], p.k2[:n/2+1]
-	for k := range k1 {
-		kr := (n - k) & (n - 1)
-		a1, a2 := split(z[k], z[kr])
-		c1, c2 := a1*k1[k], a2*k2[k]
-		// c1 and c2 are spectra of real sequences, so bin n−k holds their
-		// conjugates; the product spectrum packs them as c1 + i·c2. At the
-		// self-mirrored bins (0 and n/2) the second write wins, where c1
-		// and c2 are real.
-		z[kr] = complex(real(c1)+imag(c2), real(c2)-imag(c1))
-		z[k] = complex(real(c1)-imag(c2), imag(c1)+real(c2))
+	mulMirrored(z[0:1], z[0:1], k1[0:1], k2[0:1])
+	if n >= 2 {
+		mulMirrored(z[1:2], z[1:2], k1[n/2:], k2[n/2:])
 	}
-	radix2(z, true)
+	for b := 2; b < n; b *= 2 {
+		h := b / 2
+		mulMirrored(z[b:b+h], z[b+h:2*b], k1[h:b], k2[h:b])
+	}
+	ditPasses(z, p.plan.inv)
 	return z
+}
+
+// mulMirrored multiplies one run of a bit-reversed packed spectrum x1 + i·x2
+// by the kernels' spectra, in place: lo[i] holds some bin k,
+// hi[len(lo)−1−i] its mirror n−k, and c1[i], c2[i] the kernels' bin k. The
+// products C1 = X1·W1 and C2 = X2·W2 are spectra of real sequences, so
+// bin n−k holds their conjugates, and the product spectrum packs them as
+// C1 + i·C2. A self-mirrored bin (0 or n/2) passes the same one-element
+// slice as lo and hi; its bin-k value, written last, is the one kept.
+func mulMirrored(lo, hi, c1, c2 []complex128) {
+	hi, c1, c2 = hi[:len(lo)], c1[:len(lo)], c2[:len(lo)]
+	for i := range lo {
+		j := len(lo) - 1 - i
+		a1, a2 := split(lo[i], hi[j])
+		p1, p2 := a1*c1[i], a2*c2[i]
+		hi[j] = complex(real(p1)+imag(p2), real(p2)-imag(p1))
+		lo[i] = complex(real(p1)-imag(p2), imag(p1)+real(p2))
+	}
 }
 
 // pack fills z with x + i·y, zero beyond both sequences.

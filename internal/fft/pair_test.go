@@ -1,10 +1,13 @@
 package fft
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"lrd/internal/numerics"
 )
 
 // TestConvolveRealBitIdentical drives ConvolveReal across both the direct
@@ -42,13 +45,19 @@ func TestConvolveRealBitIdentical(t *testing.T) {
 	}
 }
 
-// circularNaive is the direct n-point circular convolution of x with w.
+// circularNaive is the direct n-point circular convolution of x with w,
+// each bin a compensated sum, so its error stays within a few ε of
+// ‖x‖₁·‖w‖∞ at any n.
 func circularNaive(x, w []float64, n int) []float64 {
-	out := make([]float64, n)
+	acc := make([]numerics.Accumulator, n)
 	for i, xv := range x {
 		for l, wv := range w {
-			out[(i+l)%n] += xv * wv
+			acc[(i+l)%n].Add(xv * wv)
 		}
+	}
+	out := make([]float64, n)
+	for k := range out {
+		out[k] = acc[k].Sum()
 	}
 	return out
 }
@@ -124,4 +133,50 @@ func TestPairSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state allocs/op = %v, want 0", allocs)
 	}
+}
+
+// FuzzPairConvolve: at a size n ≤ 1024 and on inputs and kernels of any
+// lengths up to n decoded from the fuzz bytes, both halves of a Pair's
+// output match circularNaive within pairTol. One Pair serves every input,
+// so its buffers are reused across sizes and kernels.
+func FuzzPairConvolve(f *testing.F) {
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(3), []byte{8, 0, 3, 0, 8, 0, 1, 0, 0x7f, 0, 0x80, 5, 1, 60, 0x40, 1})
+	f.Add(uint8(10), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	var p Pair
+	f.Fuzz(func(t *testing.T, logN uint8, data []byte) {
+		n := 1 << (logN % 11)
+		// Four little-endian uint16 lengths, each taken mod n+1, then the
+		// values two bytes each: a signed 8-bit mantissa scaled by 2^−e,
+		// e < 64. Values past the end of data are zero.
+		var lens [4]int
+		for i := range lens {
+			if len(data) >= 2 {
+				lens[i] = int(binary.LittleEndian.Uint16(data)) % (n + 1)
+				data = data[2:]
+			}
+		}
+		vec := func(l int) []float64 {
+			v := make([]float64, l)
+			for i := range v {
+				if len(data) < 2 {
+					break
+				}
+				v[i] = float64(int8(data[0])) / 128 * math.Ldexp(1, -int(data[1]%64))
+				data = data[2:]
+			}
+			return v
+		}
+		x1, x2, w1, w2 := vec(lens[0]), vec(lens[1]), vec(lens[2]), vec(lens[3])
+		p.SetKernels(n, w1, w2)
+		out := p.Convolve(x1, x2)
+		want1, want2 := circularNaive(x1, w1, n), circularNaive(x2, w2, n)
+		tol := pairTol(n, x1, x2, w1, w2)
+		for k := 0; k < n; k++ {
+			if math.Abs(real(out[k])-want1[k]) > tol || math.Abs(imag(out[k])-want2[k]) > tol {
+				t.Fatalf("n=%d bin %d: (%g, %g), naive (%g, %g) (tolerance %g)",
+					n, k, real(out[k]), imag(out[k]), want1[k], want2[k], tol)
+			}
+		}
+	})
 }

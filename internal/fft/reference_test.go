@@ -196,3 +196,144 @@ func BenchmarkRadix2(b *testing.B) {
 		}
 	}
 }
+
+// pairRef is the Pair pipeline the permutation-free one replaced, kept
+// verbatim as the reference Pair is held to: radix2 forward, the
+// natural-order Hermitian split and product, then radix2 inverse.
+type pairRef struct {
+	n      int
+	k1, k2 []complex128
+	z      []complex128
+}
+
+func (p *pairRef) SetKernels(n int, w1, w2 []float64) {
+	p.n = n
+	p.z = grown(p.z, n)
+	z := p.z
+	pack(z, w1, w2)
+	radix2(z, false)
+	p.k1, p.k2 = grown(p.k1, n/2+1), grown(p.k2, n/2+1)
+	inv := 1 / float64(n)
+	for k := range p.k1 {
+		a1, a2 := split(z[k], z[(n-k)&(n-1)])
+		p.k1[k] = complex(real(a1)*inv, imag(a1)*inv)
+		p.k2[k] = complex(real(a2)*inv, imag(a2)*inv)
+	}
+}
+
+func (p *pairRef) Convolve(x1, x2 []float64) []complex128 {
+	n := p.n
+	z := p.z[:n]
+	pack(z, x1, x2)
+	radix2(z, false)
+	k1, k2 := p.k1[:n/2+1], p.k2[:n/2+1]
+	for k := range k1 {
+		kr := (n - k) & (n - 1)
+		a1, a2 := split(z[k], z[kr])
+		c1, c2 := a1*k1[k], a2*k2[k]
+		z[kr] = complex(real(c1)+imag(c2), real(c2)-imag(c1))
+		z[k] = complex(real(c1)-imag(c2), imag(c1)+real(c2))
+	}
+	radix2(z, true)
+	return z
+}
+
+// pairTol is the roundoff bound two FFT convolutions of the same operands
+// are held to in every output bin: 4·ε·log₂n times the largest output
+// any bin can reach, ‖x‖₁·‖w‖∞ over both halves of the pair.
+func pairTol(n int, x1, x2, w1, w2 []float64) float64 {
+	norm1 := func(v []float64) (s float64) {
+		for _, x := range v {
+			s += math.Abs(x)
+		}
+		return s
+	}
+	normInf := func(v []float64) (m float64) {
+		for _, x := range v {
+			m = math.Max(m, math.Abs(x))
+		}
+		return m
+	}
+	logN := math.Max(1, math.Log2(float64(n)))
+	return 4 * 0x1p-52 * logN * (norm1(x1) + norm1(x2)) * math.Max(normInf(w1), normInf(w2))
+}
+
+// TestPairMatchesReference holds Pair to pairRef within pairTol at every
+// power of two from 2 to 2¹⁶ (both parities of log₂n, so both last-pass
+// shapes of the forward transform), on the solver-packing family of
+// TestRadix2MatchesReference (occupancy pmfs of length n/4+1 against
+// increment pmfs of length n/2+1) and on pmfs of length n/2+1 whose masses
+// span 1 to 1e-30, with one Pair reused across sizes.
+func TestPairMatchesReference(t *testing.T) {
+	pmf := func(rng *rand.Rand, n int, decades float64) []float64 {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = rng.Float64() * math.Pow(10, -decades*rng.Float64())
+		}
+		return x
+	}
+	families := []struct {
+		name string
+		// xLen and wLen are the input and kernel lengths at transform
+		// size n; masses span 10^−decades to 1.
+		xLen, wLen func(n int) int
+		decades    float64
+	}{
+		{"solver-packing", func(n int) int { return n/4 + 1 }, func(n int) int { return n/2 + 1 }, 8},
+		{"pmf-1e-30", func(n int) int { return n/2 + 1 }, func(n int) int { return n/2 + 1 }, 30},
+	}
+	var got Pair
+	var ref pairRef
+	for logN := 1; logN <= 16; logN++ {
+		n := 1 << logN
+		for fi, fam := range families {
+			rng := rand.New(rand.NewSource(int64(100*logN + fi)))
+			xl, wl := min(fam.xLen(n), n), min(fam.wLen(n), n)
+			w1, w2 := pmf(rng, wl, fam.decades), pmf(rng, wl, fam.decades)
+			x1, x2 := pmf(rng, xl, fam.decades), pmf(rng, xl, fam.decades)
+			got.SetKernels(n, w1, w2)
+			ref.SetKernels(n, w1, w2)
+			want := append([]complex128(nil), ref.Convolve(x1, x2)...)
+			out := got.Convolve(x1, x2)
+			tol := pairTol(n, x1, x2, w1, w2)
+			for k := range want {
+				if math.Abs(real(out[k])-real(want[k])) > tol || math.Abs(imag(out[k])-imag(want[k])) > tol {
+					t.Fatalf("n=%d %s bin %d: %v, reference %v (tolerance %g)", n, fam.name, k, out[k], want[k], tol)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPair times Pair.Convolve and pairRef side by side in one
+// process, at the transform sizes of the solver's steps at M = 256, 1024
+// and 4096.
+func BenchmarkPair(b *testing.B) {
+	type convolver interface {
+		SetKernels(n int, w1, w2 []float64)
+		Convolve(x1, x2 []float64) []complex128
+	}
+	for _, n := range []int{1 << 9, 1 << 11, 1 << 13} {
+		rng := rand.New(rand.NewSource(1))
+		vec := func(l int) []float64 {
+			x := make([]float64, l)
+			for i := range x {
+				x[i] = rng.Float64()
+			}
+			return x
+		}
+		w1, w2, x1, x2 := vec(n), vec(n), vec(n/2+1), vec(n/2+1)
+		for _, k := range []struct {
+			name string
+			p    convolver
+		}{{"pair", &Pair{}}, {"ref", &pairRef{}}} {
+			k.p.SetKernels(n, w1, w2)
+			b.Run(fmt.Sprintf("%s/n%d", k.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					k.p.Convolve(x1, x2)
+				}
+			})
+		}
+	}
+}

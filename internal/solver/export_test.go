@@ -51,7 +51,6 @@ func newPaperStartIterator(m Model, cfg Config) (*Iterator, error) {
 	}
 	it.ql[0] = 1
 	it.qh[it.bins] = 1
-	it.lowerLoss = it.lossOf(it.ql)
-	it.upperLoss = it.lossOf(it.qh)
+	it.lowerLoss, it.upperLoss = it.lossOf(it.ql, it.qh, 1, 1)
 	return it, nil
 }

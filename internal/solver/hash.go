@@ -41,5 +41,6 @@ func ConfigHash(cfg Config) string {
 // cell of either revision is still a valid bracket.
 // Revision 1: the cold start's first rung and certified upper start
 // (start.go). Revision 2: the paired-transform step, whose end bins are
-// exact sums (Iterator.stepRaw).
-const solverRevision = 2
+// exact sums (Iterator.stepRaw). Revision 3: the step's forward transforms
+// run decimation in frequency, with no permutation (fft.Pair).
+const solverRevision = 3

@@ -20,11 +20,13 @@
 // upper chain against B (see start.go). Each step (Eq. 19) convolves both
 // processes at once in O(M log M): one forward and one inverse transform
 // of the least power of two N ≥ 2M against the increment pmfs' spectra,
-// cached per resolution (fft.Pair), give the bins strictly inside (0, B),
-// and O(M) sums over cumulative increment tables give the mass folded into
-// 0 and B exactly. When the bounds stop tightening at a given resolution,
-// M is doubled and the iteration warm-restarts from the coarse occupancy
-// vectors (footnote 3 of the paper).
+// cached per resolution (fft.Pair, which never permutes), give the bins
+// strictly inside (0, B), and O(M) sums over cumulative increment tables
+// give the mass folded into 0 and B exactly. The step's O(M) work — those
+// sums, the clamp and renormalization, and the loss evaluation — runs in
+// loops over both processes at once. When the bounds stop tightening at a
+// given resolution, M is doubled and the iteration warm-restarts from the
+// coarse occupancy vectors (footnote 3 of the paper).
 //
 // # Robustness contract
 //
@@ -511,8 +513,7 @@ func (it *Iterator) startCold() {
 	} else {
 		it.qh[it.bins] = 1 // Q_H(0) = B: start full
 	}
-	it.lowerLoss = it.lossOf(it.ql)
-	it.upperLoss = it.lossOf(it.qh)
+	it.lowerLoss, it.upperLoss = it.lossOf(it.ql, it.qh, 1, 1)
 }
 
 // release returns the borrowed scratch set to the pool, recycling this
@@ -655,8 +656,9 @@ func (it *Iterator) Step() error {
 	}
 	ql, qh := it.qlNext[:n], it.qhNext[:n]
 	it.stepRaw(ql, qh)
-	driftL, driftH := settle(ql), settle(qh)
-	newLo, newHi := it.lossOf(ql), it.lossOf(qh)
+	faultinject.Apply(faultinject.SolverConvolution, ql)
+	faultinject.Apply(faultinject.SolverConvolution, qh)
+	driftL, driftH, newLo, newHi := it.settle(ql, qh)
 	if faultinject.Active() {
 		pair := []float64{newLo, newHi}
 		faultinject.Apply(faultinject.SolverLossBounds, pair)
@@ -699,8 +701,7 @@ func (it *Iterator) Step() error {
 func (it *Iterator) stepRaw(ql, qh []float64) {
 	m := it.bins
 	y := it.scratch.pair.Convolve(it.ql, it.qh)
-	ql[0], ql[m] = ends(it.ql, it.headL, it.tailL)
-	qh[0], qh[m] = ends(it.qh, it.headH, it.tailH)
+	ql[0], ql[m], qh[0], qh[m] = it.ends()
 	for j := 1; j < m; j++ {
 		ql[j], qh[j] = real(y[m+j]), imag(y[m+j])
 	}
@@ -769,8 +770,9 @@ func (it *Iterator) Refine() bool {
 	it.ql, it.qh = ql, qh
 	it.scratch.putFloat(oldQl)
 	it.scratch.putFloat(oldQh)
-	it.lowerLoss = it.lossOf(it.ql)
-	it.setUpper(it.lossOf(it.qh))
+	lo, hi := it.lossOf(it.ql, it.qh, 1, 1)
+	it.lowerLoss = lo
+	it.setUpper(hi)
 	if rec := it.cfg.Recorder; rec != nil {
 		rec.Add(obs.MetricSolverRefines, 1)
 		rec.Set(obs.MetricSolverBins, float64(it.bins))
@@ -828,37 +830,60 @@ func relChange(prev, cur float64) float64 {
 	return math.Abs(cur-prev) / den
 }
 
-// ends returns the mass one step moves from occupancy pmf q to or below 0
-// and to or above B: the compensated sums Σ q[i]·head[i] and
-// Σ q[i]·tail[i] over foldSums' tables.
-func ends(q, head, tail []float64) (lo, hi float64) {
-	head, tail = head[:len(q)], tail[:len(q)]
-	var accLo, accHi numerics.Accumulator
-	for i, v := range q {
-		accLo.Add(v * head[i])
-		accHi.Add(v * tail[i])
+// ends returns the mass one step moves each process's occupancy pmf to or
+// below 0 and to or above B: the compensated sums Σ q[i]·head[i] and
+// Σ q[i]·tail[i] over foldSums' tables, lower process first. The four sums
+// are independent, so one loop runs them all.
+func (it *Iterator) ends() (lowL, highL, lowH, highH float64) {
+	ql := it.ql
+	qh := it.qh[:len(ql)]
+	headL, tailL := it.headL[:len(ql)], it.tailL[:len(ql)]
+	headH, tailH := it.headH[:len(ql)], it.tailH[:len(ql)]
+	var accLowL, accHighL, accLowH, accHighH numerics.Accumulator
+	for i, v := range ql {
+		w := qh[i]
+		accLowL.Add(v * headL[i])
+		accHighL.Add(v * tailL[i])
+		accLowH.Add(w * headH[i])
+		accHighH.Add(w * tailH[i])
 	}
-	return accLo.Sum(), accHi.Sum()
+	return accLowL.Sum(), accHighL.Sum(), accLowH.Sum(), accHighH.Sum()
 }
 
-// settle finishes Eq. (20) on one process's raw stepped pmf, in place:
+// settle finishes Eq. (20) on both processes' raw stepped pmfs, in place:
 // bin 0, the transform's window, then bin M. It clamps the ~1-ulp negative
-// values the transform can leave in the window and renormalizes to unit
-// mass to stop roundoff drift over long runs, returning the
-// pre-renormalization drift (total−1) for the numeric-health watchdog.
-func settle(q []float64) float64 {
-	faultinject.Apply(faultinject.SolverConvolution, q)
-	for j, v := range q {
-		q[j] = math.Max(v, 0)
-	}
-	total := numerics.KahanSum(q)
-	if total > 0 {
-		inv := 1 / total
-		for j := range q {
-			q[j] *= inv
+// values the transform can leave in the window and renormalizes each pmf
+// to unit mass to stop roundoff drift over long runs, returning the
+// pre-renormalization drifts (total−1) for the numeric-health watchdog and
+// the loss rates of the settled pmfs. The clamp `if v <= 0 { v = 0 }` is
+// math.Max(v, 0) bit for bit: −0 becomes +0 and NaN stays NaN.
+func (it *Iterator) settle(ql, qh []float64) (driftL, driftH, lo, hi float64) {
+	qh = qh[:len(ql)]
+	var accL, accH numerics.Accumulator
+	for j, v := range ql {
+		if v <= 0 {
+			v = 0
 		}
+		w := qh[j]
+		if w <= 0 {
+			w = 0
+		}
+		ql[j], qh[j] = v, w
+		accL.Add(v)
+		accH.Add(w)
 	}
-	return total - 1
+	totalL, totalH := accL.Sum(), accH.Sum()
+	lo, hi = it.lossOf(ql, qh, unitScale(totalL), unitScale(totalH))
+	return totalL - 1, totalH - 1, lo, hi
+}
+
+// unitScale is the factor that renormalizes a pmf of the given total mass
+// to one, or 1 (a no-op) when the total is not positive.
+func unitScale(total float64) float64 {
+	if total > 0 {
+		return 1 / total
+	}
+	return 1
 }
 
 // incrementPMFs builds the rounded-increment pmfs of Eqs. (21)–(22):
@@ -1027,15 +1052,24 @@ func (it *Iterator) expectedLossGiven(x float64, integral func(a float64) float6
 	return acc.Sum()
 }
 
-// lossOf evaluates Eq. (23)/(24): the loss rate induced by the occupancy
-// pmf q, namely Σ_j q(j)·E[W_l|Q=j·d] / (λ̄·E[T]).
-func (it *Iterator) lossOf(q []float64) float64 {
-	var acc numerics.Accumulator
-	for j, mass := range q {
-		if mass == 0 {
-			continue
+// lossOf evaluates Eq. (23)/(24) for both bound processes: the loss rate
+// induced by an occupancy pmf q, namely Σ_j q(j)·E[W_l|Q=j·d] / (λ̄·E[T]).
+// In the same pass it first scales each pmf in place by its factor, sl for
+// ql and sh for qh; a factor of 1 leaves every value as it is.
+func (it *Iterator) lossOf(ql, qh []float64, sl, sh float64) (lo, hi float64) {
+	qh = qh[:len(ql)]
+	loss := it.loss[:len(ql)]
+	var accL, accH numerics.Accumulator
+	for j, v := range ql {
+		v *= sl
+		w := qh[j] * sh
+		ql[j], qh[j] = v, w
+		if v != 0 {
+			accL.Add(v * loss[j])
 		}
-		acc.Add(mass * it.loss[j])
+		if w != 0 {
+			accH.Add(w * loss[j])
+		}
 	}
-	return acc.Sum() / it.arrivalWork
+	return accL.Sum() / it.arrivalWork, accH.Sum() / it.arrivalWork
 }

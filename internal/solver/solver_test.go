@@ -473,14 +473,14 @@ func TestRefineProjectsExactly(t *testing.T) {
 		for n := 0; n < 10; n++ {
 			it.Step()
 		}
-		loBefore, hiBefore := it.lossOf(it.ql), it.lossOf(it.qh)
+		loBefore, hiBefore := it.lossOf(it.ql, it.qh, 1, 1)
 		if !it.Refine() {
 			t.Fatalf("%s: refine should succeed below MaxBins", s.name)
 		}
 		if it.Bins() != 64 {
 			t.Fatalf("%s: bins = %d, want 64", s.name, it.Bins())
 		}
-		lo, hi := it.lossOf(it.ql), it.lossOf(it.qh)
+		lo, hi := it.lossOf(it.ql, it.qh, 1, 1)
 		// The projection is exact, so the loss bounds are unchanged (the
 		// loss table at even fine-grid points equals the coarse table).
 		if !numerics.AlmostEqual(lo, loBefore, 1e-9) || !numerics.AlmostEqual(hi, hiBefore, 1e-9) {
@@ -569,14 +569,14 @@ func TestCertifiedUpperIteratesBound(t *testing.T) {
 	if !it.certified {
 		t.Fatal("a finite-cutoff model should start certified")
 	}
-	least := it.lossOf(it.qh)
+	_, least := it.lossOf(it.ql, it.qh, 1, 1)
 	for n := 0; n < 300; n++ {
 		if n%100 == 50 {
 			it.Refine()
 		} else if err := it.Step(); err != nil {
 			t.Fatal(err)
 		}
-		raw := it.lossOf(it.qh)
+		_, raw := it.lossOf(it.ql, it.qh, 1, 1)
 		least = math.Min(least, raw)
 		lo, hi := it.LossBounds()
 		if raw < tight.Lower-slack || raw < lo-slack {

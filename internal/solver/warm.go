@@ -120,8 +120,7 @@ func NewModelIteratorSeeded(m Model, cfg Config, seed *Seed) (*Iterator, error) 
 		return nil, err
 	}
 	it.seedOccupancies(seed)
-	it.lowerLoss = it.lossOf(it.ql)
-	it.upperLoss = it.lossOf(it.qh)
+	it.lowerLoss, it.upperLoss = it.lossOf(it.ql, it.qh, 1, 1)
 	if it.lowerLoss > it.upperLoss*(1+boundOrderRelTol)+invariantAbsTol {
 		// Pathological seed (possible only if the caller's same-source
 		// contract was broken): discard it and start cold at this rung —
