@@ -278,6 +278,39 @@ func BenchmarkSolverStep(b *testing.B) {
 	}
 }
 
+// BenchmarkTableBuild measures one rung's table build — the cdf and loss
+// tables in one pass, the increment pmfs, their fold sums and spectra —
+// plus the cold start, through NewIterator at a fixed M = 256, 1024 and
+// 4096 on the MTV model's 50-bin marginal (util 0.8, B = 0.5 s) for a short
+// and a long cutoff. The bench ledger's solver.table_build_ms times the
+// two-rate on/off queue, whose two-bin tables understate a trace marginal's.
+func BenchmarkTableBuild(b *testing.B) {
+	tm, err := lrd.MTVModel(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []float64{0.3, 10} {
+		src, err := tm.Source(tc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		q, err := lrd.NewQueueNormalized(src, 0.8, 0.5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range stepBins {
+			b.Run(fmt.Sprintf("tc%g/m%d", tc, m), func(b *testing.B) {
+				cfg := lrd.SolverConfig{InitialBins: m, MaxBins: m}
+				for i := 0; i < b.N; i++ {
+					if _, err := lrd.NewIterator(q, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkConvolve measures the step's kernel at the solver's shapes: two
 // occupancy pmfs of length M+1 convolved with two cached increment spectra
 // in one N = 2M-point transform pair (0 allocs/op) — the layer below

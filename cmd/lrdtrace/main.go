@@ -15,11 +15,9 @@
 // rate, 50-bin marginal summary, mean epoch duration, and all four Hurst
 // estimates — the statistics the paper's §III extracts from its traces.
 //
-// Observability flags (shared with the other lrd commands): -metrics writes
-// a JSON metrics snapshot on exit, -trace streams solver convergence points
-// as JSONL (empty here — lrdtrace runs no solver), -progress prints a
-// periodic status line, and -pprof serves net/http/pprof plus an expvar
-// metrics export.
+// lrdtrace runs no solver and records no metrics, so it takes none of the
+// shared observability flags (-metrics, -trace, -progress, -pprof) the
+// other lrd commands offer; diagnostics go to stderr as slog lines.
 //
 // Examples:
 //
@@ -68,19 +66,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		epoch    = fs.Float64("epoch", 0.05, "model: mean epoch duration in seconds (calibrates θ)")
 		cutoff   = fs.Float64("cutoff", 10, "model: correlation cutoff lag Tc in seconds; 0 means infinite")
 	)
-	oflags := cliflags.ObsGroup(fs)
 	modelSpecs := cliflags.ModelGroup(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	cli, err := obs.StartCLI(oflags.CLIOptions("lrdtrace", stderr))
-	if err != nil {
-		fmt.Fprintf(stderr, "lrdtrace: %v\n", err)
-		return 1
-	}
-	defer cli.Close()
-	logger := obs.NewLogger(stderr, "lrdtrace", cli.Trace())
+	logger := obs.NewLogger(stderr, "lrdtrace", obs.TraceContext{})
 
 	bad := false
 	fail := func(format string, args ...any) {

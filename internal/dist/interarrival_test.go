@@ -51,54 +51,59 @@ func TestTruncatedParetoCCDFAtLeast(t *testing.T) {
 	}
 }
 
-// TestCCDFBothBitwise is the fused-evaluation contract: each component of
-// CCDFBoth must be bitwise equal to the corresponding separate call, at
-// every regime boundary (negative, zero, continuous region, the cutoff
-// atom, beyond the cutoff) — the solver's cdf tabulation relies on this to
-// halve law evaluations without perturbing results.
-func TestCCDFBothBitwise(t *testing.T) {
-	p := TruncatedPareto{Theta: 0.5, Alpha: 1.5, Cutoff: 3}
-	pinf := TruncatedPareto{Theta: 0.5, Alpha: 1.5, Cutoff: math.Inf(1)}
-	h, err := NewHyperexponential([]float64{0.3, 0.7}, []float64{0.1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	laws := []interface {
+// TestTailFuncMatchesConcreteMethods is the contract of the one law
+// evaluation the solver's grid tables read: TailFunc's three values against
+// CCDF, CCDFAtLeast and IntegralCCDF at every regime boundary (negative,
+// zero, continuous region, the cutoff atom, beyond the cutoff) and at
+// random points of the continuous region, for a finite and an infinite
+// cutoff. The hyperexponential's values must be bitwise equal. The
+// Pareto's evaluate u^(−α) as exp(−α·log u) with u = (t+θ)/θ, so below the
+// cutoff they may differ from math.Pow's by a few ε·(1 + α·log u)
+// relative; the integral's error is relative to its head term
+// θ/(α−1)·u^(1−α), since near the cutoff the head and the cutoff's tail
+// term cancel. At t <= 0, at the cutoff and beyond it they must be exact.
+func TestTailFuncMatchesConcreteMethods(t *testing.T) {
+	type concrete interface {
+		Interarrival
 		CCDF(float64) float64
 		CCDFAtLeast(float64) float64
-		CCDFBoth(float64) (float64, float64)
-	}{p, pinf, h}
-	points := []float64{-1, 0, 1e-9, 0.5, 1, 2.999, 3, 3.1, 100}
-	for _, law := range laws {
-		for _, x := range points {
-			gt, ge := law.CCDFBoth(x)
-			if gt != law.CCDF(x) || ge != law.CCDFAtLeast(x) {
-				t.Errorf("%T CCDFBoth(%v) = (%v, %v), want (%v, %v)",
-					law, x, gt, ge, law.CCDF(x), law.CCDFAtLeast(x))
-			}
-		}
+		IntegralCCDF(float64) float64
 	}
-}
-
-// TestIntegralCCDFFuncBitwise: the curried integral must be bitwise equal
-// to IntegralCCDF everywhere, including clamped and beyond-cutoff inputs.
-func TestIntegralCCDFFuncBitwise(t *testing.T) {
 	p := TruncatedPareto{Theta: 0.5, Alpha: 1.5, Cutoff: 3}
 	pinf := TruncatedPareto{Theta: 0.5, Alpha: 1.5, Cutoff: math.Inf(1)}
+	paper := TruncatedPareto{Theta: 0.0136, Alpha: 1.34, Cutoff: 10}
 	h, err := NewHyperexponential([]float64{0.3, 0.7}, []float64{0.1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	laws := []interface {
-		IntegralCCDF(float64) float64
-		IntegralCCDFFunc() func(float64) float64
-	}{p, pinf, h}
-	points := []float64{-1, 0, 1e-9, 0.5, 1, 2.999, 3, 3.1, 100}
-	for _, law := range laws {
-		f := law.IntegralCCDFFunc()
-		for _, x := range points {
-			if f(x) != law.IntegralCCDF(x) {
-				t.Errorf("%T IntegralCCDFFunc()(%v) = %v, want %v", law, x, f(x), law.IntegralCCDF(x))
+	points := []float64{-1, 0, 1e-9, 0.5, 1, 2.999, 3, 3.1, 10, 100, 1e6}
+	rng := rand.New(rand.NewSource(7))
+	const eps = 0x1p-52
+	for _, law := range []concrete{p, pinf, paper, h} {
+		upper := math.Min(law.Upper(), 1e4)
+		xs := append([]float64(nil), points...)
+		for k := 0; k < 2000; k++ {
+			xs = append(xs, rng.Float64()*upper, upper*math.Pow(1e-12, rng.Float64()))
+		}
+		tail := law.TailFunc()
+		for _, x := range xs {
+			gt, ge, integral := tail(x)
+			wantGt, wantGe, wantInt := law.CCDF(x), law.CCDFAtLeast(x), law.IntegralCCDF(x)
+			par, isPareto := law.(TruncatedPareto)
+			if !isPareto || x <= 0 || x >= par.Cutoff {
+				if gt != wantGt || ge != wantGe || integral != wantInt {
+					t.Errorf("%v TailFunc()(%v) = (%v, %v, %v), want exactly (%v, %v, %v)",
+						law, x, gt, ge, integral, wantGt, wantGe, wantInt)
+				}
+				continue
+			}
+			u := (x + par.Theta) / par.Theta
+			tol := 4 * eps * (1 + par.Alpha*math.Log(u))
+			head := par.Theta / (par.Alpha - 1) * math.Pow(u, 1-par.Alpha)
+			if math.Abs(gt-wantGt) > tol*wantGt || ge != gt ||
+				math.Abs(integral-wantInt) > tol*head {
+				t.Errorf("%v TailFunc()(%v) = (%v, %v, %v), want (%v, %v, %v) within %.3g relative",
+					law, x, gt, ge, integral, wantGt, wantGe, wantInt, tol)
 			}
 		}
 	}

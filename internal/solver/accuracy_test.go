@@ -204,7 +204,8 @@ func workMGF(m solver.Model, theta float64) float64 {
 	}
 	t[n] = law.Upper()
 	// The ccdf at each cell's ends and midpoint, left of the atom at Upper.
-	ccdf := func(x float64) float64 { gt, _ := law.CCDFBoth(x); return gt }
+	tail := law.TailFunc()
+	ccdf := func(x float64) float64 { gt, _, _ := tail(x); return gt }
 	pl, pm, pr := make([]float64, n), make([]float64, n), make([]float64, n)
 	for k := range pl {
 		pl[k], pm[k], pr[k] = ccdf(t[k]), ccdf((t[k]+t[k+1])/2), ccdf(math.Nextafter(t[k+1], 0))

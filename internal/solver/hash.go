@@ -42,5 +42,7 @@ func ConfigHash(cfg Config) string {
 // Revision 1: the cold start's first rung and certified upper start
 // (start.go). Revision 2: the paired-transform step, whose end bins are
 // exact sums (Iterator.stepRaw). Revision 3: the step's forward transforms
-// run decimation in frequency, with no permutation (fft.Pair).
-const solverRevision = 3
+// run decimation in frequency, with no permutation (fft.Pair). Revision 4:
+// the cdf and loss tables are built in one pass from one law evaluation
+// per point, the truncated Pareto's power taken as exp∘log (gridTables).
+const solverRevision = 4

@@ -12,7 +12,10 @@
 //     any vector that lies stochastically above the stationary occupancy.
 //
 // By Proposition II.1 the induced loss rates bracket the true loss at every
-// iteration and resolution. The paper starts Q_H full, which makes the
+// iteration and resolution. Each resolution's tables — the increment cdfs
+// behind Eqs. (21)–(22) and the closed-form E[W_l | Q = x] of Eq. (23) —
+// come from one pass over the grid in which each law evaluation serves
+// both (gridTables). The paper starts Q_H full, which makes the
 // upper bound decrease in n; a cold solve here starts it instead at a
 // certified exponential (Kingman's bound, see start.go) when the epoch law
 // is bounded, and reports the running minimum of its upper iterates. The
@@ -537,30 +540,27 @@ func (it *Iterator) release() {
 	scratchPool.Put(s)
 }
 
-// setResolution (re)builds the grid-dependent tables for M bins: the cdf,
-// increment-pmf and loss tables, the increment pmfs' fold sums, and their
-// spectra for the step's transform pair. The previous rung's tables are
-// recycled through the scratch free list, and a resolution doubling
-// copies the coarse grid's cdf/loss entries into the even fine-grid slots
-// instead of recomputing them: the evaluation points coincide bitwise
-// (B/(2M) rounds to exactly half of B/M, and float64(2j)·(B/(2M)) to
-// exactly float64(j)·(B/M)), so the copied entries equal what
-// recomputation would produce and results stay bit-identical.
+// setResolution (re)builds the grid-dependent tables for M bins: the cdf
+// and loss tables (one pass, gridTables), the increment pmfs, their fold
+// sums, and their spectra for the step's transform pair. The previous
+// rung's tables are recycled through the scratch free list, and a
+// resolution doubling copies the coarse grid's cdf/loss entries into the
+// even fine-grid slots instead of recomputing them: the evaluation points
+// coincide bitwise (B/(2M) rounds to exactly half of B/M, and
+// float64(2i)·(B/(2M)) to exactly float64(i)·(B/M)), so the copied entries
+// equal what recomputation would produce and results stay bit-identical.
 func (it *Iterator) setResolution(m int) {
 	prevBins := it.bins
 	prevCl, prevCc, prevLoss := it.cl, it.cc, it.loss
 	prev := [...][]float64{prevCl, prevCc, prevLoss, it.wl, it.wh, it.headL, it.tailL, it.headH, it.tailH}
 	it.bins = m
 	it.d = it.model.Buffer / float64(m)
-	reuseCl, reuseCc, reuseLoss := prevCl, prevCc, prevLoss
 	if prevBins <= 0 || m != 2*prevBins {
-		reuseCl, reuseCc, reuseLoss = nil, nil, nil
+		prevCl, prevCc, prevLoss = nil, nil, nil
 	}
-	cl, cc := it.cdfTables(m, reuseCl, reuseCc)
-	it.wl, it.wh = it.incrementPMFs(m, cl, cc)
+	it.cl, it.cc, it.loss = it.gridTables(m, prevCl, prevCc, prevLoss)
+	it.wl, it.wh = it.incrementPMFs(m, it.cl, it.cc)
 	it.setStepTables()
-	it.loss = it.lossTable(m, reuseLoss)
-	it.cl, it.cc = cl, cc
 	for _, b := range prev {
 		it.scratch.putFloat(b)
 	}
@@ -894,7 +894,7 @@ func unitScale(total float64) float64 {
 // with the tails beyond ±B lumped into the end bins (any step ≤ −B empties
 // and ≥ +B fills the buffer regardless of the starting occupancy). The
 // returned slices have length 2M+1; index i+M holds w(i). cl and cc are the
-// cdf tables from cdfTables at the same resolution.
+// cdf tables from gridTables at the same resolution.
 func (it *Iterator) incrementPMFs(m int, cl, cc []float64) (wl, wh []float64) {
 	wl = it.scratch.getFloat(2*m + 1)
 	wh = it.scratch.getFloat(2*m + 1)
@@ -926,28 +926,39 @@ func (it *Iterator) incrementPMFs(m int, cl, cc []float64) (wl, wh []float64) {
 	return wl, wh
 }
 
-// cdfTables evaluates the work-increment cdfs at the 2m+2 grid points i·d
-// for i = −m..m+1: cl holds the strict cdf Pr{W < i·d}, cc the non-strict
-// Pr{W <= i·d}. When the previous rung's tables at resolution m/2 are
-// supplied (a resolution doubling), the even-index entries are copied
-// instead of recomputed — the evaluation points coincide bitwise, so the
-// copies equal what recomputation would produce.
-func (it *Iterator) cdfTables(m int, prevCl, prevCc []float64) (cl, cc []float64) {
+// gridTables builds the rung's law tables in one pass over the 2M+2 grid
+// points x = i·d, i = −M..M+1: cl holds the strict cdf Pr{W < x} and cc the
+// non-strict Pr{W <= x} of the work increment, and for i = 0..M the same
+// evaluations give loss[M−i] = E[W_l | Q = (M−i)·d], whose closed form reads
+// the law at (M−i)·d/(λ−c) = x/(λ−c) (see gridPoint). When the previous
+// rung's tables at resolution M/2 are supplied (a resolution doubling),
+// every even point (i+M even, hence M−i even) copies its three entries
+// instead of recomputing them — the evaluation points coincide bitwise,
+// so the copies equal what recomputation would produce.
+func (it *Iterator) gridTables(m int, prevCl, prevCc, prevLoss []float64) (cl, cc, loss []float64) {
 	d := it.model.Buffer / float64(m)
 	cl = it.scratch.getFloat(2*m + 2)
 	cc = it.scratch.getFloat(2*m + 2)
-	reuse := len(prevCl) == m+2 && len(prevCc) == m+2
-	both := it.model.Interarrival.CCDFBoth
+	loss = it.scratch.getFloat(m + 1)
+	reuse := len(prevCl) == m+2 && len(prevCc) == m+2 && len(prevLoss) == m/2+1
+	tail := it.model.Interarrival.TailFunc()
 	for i := -m; i <= m+1; i++ {
 		idx := i + m
+		withLoss := i >= 0 && i <= m
 		if reuse && idx%2 == 0 {
-			cl[idx] = prevCl[idx/2]
-			cc[idx] = prevCc[idx/2]
+			cl[idx], cc[idx] = prevCl[idx/2], prevCc[idx/2]
+			if withLoss {
+				loss[m-i] = prevLoss[(m-i)/2]
+			}
 			continue
 		}
-		cl[idx], cc[idx] = it.workCDF(float64(i)*d, both)
+		var l float64
+		cl[idx], cc[idx], l = it.gridPoint(float64(i)*d, tail, withLoss)
+		if withLoss {
+			loss[m-i] = l
+		}
 	}
-	return cl, cc
+	return cl, cc, loss
 }
 
 func clampNonneg(xs []float64) {
@@ -958,19 +969,26 @@ func clampNonneg(xs []float64) {
 	}
 }
 
-// workCDF evaluates the mixture distribution of the per-epoch work
-// increment W = T·(λ−c) (Eq. 10) at x: Pr{W < x} and Pr{W <= x}, in one
-// pass over the marginal, from both(t) = (Pr{T > t}, Pr{T >= t}). The
-// interarrival law T has a continuous Pareto part on (0, Tc) and an atom
-// at Tc, so W inherits atoms at (λ_i−c)·Tc.
-func (it *Iterator) workCDF(x float64, both func(t float64) (gt, ge float64)) (strict, nonstrict float64) {
+// gridPoint evaluates, in one pass over the marginal with one law
+// evaluation per rate, the mixture distribution of the per-epoch work
+// increment W = T·(λ−c) (Eq. 10) at x, Pr{W < x} and Pr{W <= x}, and, when
+// withLoss is set (x >= 0), the expected loss E[W_l | Q = B − x] from the
+// closed form derived in the paper (§II), generalized to any interarrival
+// law:
+//
+//	E[W_l|Q=B−x] = Σ_{i: λ_i>c} π_i·(λ_i−c)·∫_{x/(λ_i−c)}^∞ Pr{T > t} dt
+//
+// which for the truncated Pareto reduces to the paper's
+// θ/(α−1)·Σ π_i(λ_i−c)[(x/(θ(λ_i−c))+1)^(1−α) − (Tc/θ+1)^(1−α)]. tail is
+// the law's TailFunc. The law has a continuous part and may have an atom
+// at its cutoff Tc, so W inherits atoms at (λ_i−c)·Tc.
+func (it *Iterator) gridPoint(x float64, tail func(t float64) (gt, ge, integral float64), withLoss bool) (strict, nonstrict, loss float64) {
 	c := it.model.ServiceRate
 	marg := it.model.Marginal
-	var accS, accN numerics.Accumulator
+	var accS, accN, accL numerics.Accumulator
 	for i := 0; i < marg.Len(); i++ {
-		lam := marg.Rate(i)
 		pi := marg.Prob(i)
-		drift := lam - c
+		drift := marg.Rate(i) - c
 		switch {
 		case drift == 0:
 			// W_i ≡ 0.
@@ -981,75 +999,43 @@ func (it *Iterator) workCDF(x float64, both func(t float64) (gt, ge float64)) (s
 				accN.Add(pi)
 			}
 		case drift > 0:
-			// W_i = T·drift > 0 a.s.
-			if x <= 0 {
+			// W_i = T·drift > 0 a.s.; at x = 0 only the loss reads the law.
+			if x < 0 || (x == 0 && !withLoss) {
 				continue
 			}
-			gt, ge := both(x / drift)
-			accS.Add(pi * (1 - ge)) // Pr{W_i < x} = 1 − Pr{T >= t}
-			accN.Add(pi * (1 - gt)) // Pr{W_i <= x} = 1 − Pr{T > t}
+			gt, ge, integral := tail(x / drift)
+			if x > 0 {
+				accS.Add(pi * (1 - ge)) // Pr{W_i < x} = 1 − Pr{T >= t}
+				accN.Add(pi * (1 - gt)) // Pr{W_i <= x} = 1 − Pr{T > t}
+			}
+			if withLoss {
+				// E[(W_i − x)⁺] = drift·∫_{x/drift}^∞ Pr{T > t} dt.
+				accL.Add(pi * drift * integral)
+			}
 		default: // drift < 0: W_i < 0 a.s.
 			if x >= 0 {
 				accS.Add(pi)
 				accN.Add(pi)
 				continue
 			}
-			gt, ge := both(x / drift) // t > 0; W_i <= x ⇔ T >= t
-			accS.Add(pi * gt)         // Pr{W_i < x} = Pr{T > t}
-			accN.Add(pi * ge)         // Pr{W_i <= x} = Pr{T >= t}
+			gt, ge, _ := tail(x / drift) // t > 0; W_i <= x ⇔ T >= t
+			accS.Add(pi * gt)            // Pr{W_i < x} = Pr{T > t}
+			accN.Add(pi * ge)            // Pr{W_i <= x} = Pr{T >= t}
 		}
 	}
-	return numerics.Clamp(accS.Sum(), 0, 1), numerics.Clamp(accN.Sum(), 0, 1)
-}
-
-// lossTable precomputes E[W_l | Q = j·d] for j = 0..M using the closed form
-// derived in the paper (§II), generalized to any interarrival law:
-//
-//	E[W_l|Q=x] = Σ_{i: λ_i>c} π_i·(λ_i−c)·∫_{(B−x)/(λ_i−c)}^∞ Pr{T > t} dt
-//
-// which for the truncated Pareto reduces to the paper's
-// θ/(α−1)·Σ π_i(λ_i−c)[((B−x)/(θ(λ_i−c))+1)^(1−α) − (Tc/θ+1)^(1−α)].
-// When the previous rung's table at resolution m/2 is supplied (a
-// resolution doubling), the even entries are copied — same
-// bitwise-coincidence argument as cdfTables.
-func (it *Iterator) lossTable(m int, prev []float64) []float64 {
-	out := it.scratch.getFloat(m + 1)
-	d := it.model.Buffer / float64(m)
-	reuse := m%2 == 0 && len(prev) == m/2+1
-	integral := it.model.Interarrival.IntegralCCDFFunc()
-	for j := 0; j <= m; j++ {
-		if reuse && j%2 == 0 {
-			out[j] = prev[j/2]
-			continue
-		}
-		out[j] = it.expectedLossGiven(float64(j)*d, integral)
-	}
-	return out
+	return numerics.Clamp(accS.Sum(), 0, 1), numerics.Clamp(accN.Sum(), 0, 1), accL.Sum()
 }
 
 // ExpectedLossGivenOccupancy returns E[W_l | Q = x], the expected work lost
-// in one interarrival interval starting from occupancy x.
+// in one interarrival interval starting from occupancy x (clamped to B):
+// gridPoint's loss at B − x.
 func (it *Iterator) ExpectedLossGivenOccupancy(x float64) float64 {
-	return it.expectedLossGiven(x, it.model.Interarrival.IntegralCCDFFunc())
-}
-
-func (it *Iterator) expectedLossGiven(x float64, integral func(a float64) float64) float64 {
-	c := it.model.ServiceRate
-	marg := it.model.Marginal
 	b := it.model.Buffer
 	if x > b {
 		x = b
 	}
-	var acc numerics.Accumulator
-	for i := 0; i < marg.Len(); i++ {
-		drift := marg.Rate(i) - c
-		if drift <= 0 {
-			continue
-		}
-		// E[(W_i − (B−x))⁺] = drift·∫_{(B−x)/drift}^∞ Pr{T > t} dt.
-		acc.Add(marg.Prob(i) * drift * integral((b-x)/drift))
-	}
-	return acc.Sum()
+	_, _, loss := it.gridPoint(b-x, it.model.Interarrival.TailFunc(), true)
+	return loss
 }
 
 // lossOf evaluates Eq. (23)/(24) for both bound processes: the loss rate

@@ -137,16 +137,16 @@ func TestWorkCDFMonotoneAndBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	both := q.Source.Interarrival.CCDFBoth
+	tail := q.Source.Interarrival.TailFunc()
 	xs := numerics.Linspace(-q.Buffer*2, q.Buffer*2, 401)
 	prev := -1.0
 	for _, x := range xs {
-		s, v := it.workCDF(x, both)
+		s, v, _ := it.gridPoint(x, tail, false)
 		if v < prev-1e-12 {
-			t.Fatalf("workCDF not monotone at %v", x)
+			t.Fatalf("work cdf not monotone at %v", x)
 		}
 		if v < 0 || v > 1 {
-			t.Fatalf("workCDF out of range: %v", v)
+			t.Fatalf("work cdf out of range: %v", v)
 		}
 		if s > v+1e-12 {
 			t.Fatalf("strict CDF exceeds CDF at %v", x)
@@ -155,11 +155,11 @@ func TestWorkCDFMonotoneAndBounds(t *testing.T) {
 	}
 	// Far tails.
 	maxW := (q.Source.Marginal.Max() - q.ServiceRate) * q.Source.Interarrival.Cutoff
-	if _, got := it.workCDF(maxW+1, both); got != 1 {
+	if _, got, _ := it.gridPoint(maxW+1, tail, false); got != 1 {
 		t.Fatalf("CDF beyond max W = %v, want 1", got)
 	}
 	minW := (q.Source.Marginal.Min() - q.ServiceRate) * q.Source.Interarrival.Cutoff
-	if _, got := it.workCDF(minW-1, both); got != 0 {
+	if _, got, _ := it.gridPoint(minW-1, tail, false); got != 0 {
 		t.Fatalf("CDF below min W = %v, want 0", got)
 	}
 }
@@ -167,8 +167,10 @@ func TestWorkCDFMonotoneAndBounds(t *testing.T) {
 // TestWorkCDFCutoffAtom: with rates {0, 2} at c = 1 the work increment
 // W = T·(λ−c) inherits the Pareto atom at Tc as atoms of half its mass at
 // ±Tc, so Pr{W <= x} − Pr{W < x} is ½·AtomMass there and 0 at points of
-// continuity. Each drift branch of workCDF must take Pr{T >= t} for one
+// continuity. Each drift branch of gridPoint must take Pr{T >= t} for one
 // cdf and Pr{T > t} for the other; a swap in either branch moves the atom.
+// The atoms sit on grid points (d = 1/M), so the rung's tables must carry
+// the same jumps.
 func TestWorkCDFCutoffAtom(t *testing.T) {
 	law := dist.TruncatedPareto{Theta: 0.05, Alpha: 1.4, Cutoff: 0.5}
 	m, err := NewModel(dist.MustMarginal([]float64{0, 2}, []float64{0.5, 0.5}), law, 1, 1)
@@ -182,9 +184,13 @@ func TestWorkCDFCutoffAtom(t *testing.T) {
 	for _, c := range []struct{ x, jump float64 }{
 		{-0.5, law.AtomMass() / 2}, {0.5, law.AtomMass() / 2}, {-0.25, 0}, {0.25, 0},
 	} {
-		strict, nonstrict := it.workCDF(c.x, law.CCDFBoth)
+		strict, nonstrict, _ := it.gridPoint(c.x, law.TailFunc(), false)
 		if got := nonstrict - strict; math.Abs(got-c.jump) > 1e-15 {
 			t.Errorf("x=%v: Pr{W <= x} − Pr{W < x} = %v, want %v", c.x, got, c.jump)
+		}
+		idx := int(c.x/it.d) + it.bins
+		if got := it.cc[idx] - it.cl[idx]; math.Abs(got-c.jump) > 1e-15 {
+			t.Errorf("x=%v: tables at M=%d give Pr{W <= x} − Pr{W < x} = %v, want %v", c.x, it.bins, got, c.jump)
 		}
 	}
 }
@@ -201,10 +207,11 @@ func TestExpectedLossGivenOccupancyMatchesQuadrature(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxW := (q.Source.Marginal.Max() - q.ServiceRate) * q.Source.Interarrival.Cutoff
+	tail := q.Source.Interarrival.TailFunc()
 	for _, frac := range []float64{0, 0.25, 0.5, 0.9, 1} {
 		x := frac * q.Buffer
 		want := numerics.Trapezoid(func(y float64) float64 {
-			_, cdf := it.workCDF(y+q.Buffer-x, q.Source.Interarrival.CCDFBoth)
+			_, cdf, _ := it.gridPoint(y+q.Buffer-x, tail, false)
 			return 1 - cdf
 		}, 0, maxW, 400000)
 		got := it.ExpectedLossGivenOccupancy(x)

@@ -199,10 +199,11 @@ func newThetaBound(m Model, upper float64) *thetaBound {
 	}
 	b.t[thetaCells] = upper
 	b.mass = make([]float64, thetaCells+1)
-	integral := law.IntegralCCDFFunc()
-	prevJ, prevW := integral(0), 1.0
+	tail := law.TailFunc()
+	_, _, prevJ := tail(0)
+	prevW := 1.0
 	for k := 0; k < thetaCells; k++ {
-		j := integral(b.t[k+1])
+		_, _, j := tail(b.t[k+1])
 		w := numerics.Clamp((prevJ-j)/(b.t[k+1]-b.t[k]), 0, prevW)
 		b.mass[k] = prevW - w
 		prevJ, prevW = j, w

@@ -96,8 +96,8 @@ type (
 	// Hyperexponential is a Markovian (phase-type) interarrival law.
 	Hyperexponential = dist.Hyperexponential
 	// Interarrival is the epoch-length contract every layer calls a law
-	// through: CCDFBoth, IntegralCCDFFunc, Mean, SecondMoment, Upper,
-	// ResidualCCDF, Sample, SampleResidual and Validate, nothing else.
+	// through: TailFunc, Mean, SecondMoment, Upper, ResidualCCDF, Sample,
+	// SampleResidual and Validate, nothing else.
 	Interarrival = dist.Interarrival
 	// Source is the cutoff-correlated fluid traffic source.
 	Source = fluid.Source
