@@ -51,24 +51,38 @@ func TestTruncatedParetoCCDFAtLeast(t *testing.T) {
 	}
 }
 
-// TestTailFuncMatchesConcreteMethods is the contract of the one law
-// evaluation the solver's grid tables read: TailFunc's three values against
-// CCDF, CCDFAtLeast and IntegralCCDF at every regime boundary (negative,
-// zero, continuous region, the cutoff atom, beyond the cutoff) and at
-// random points of the continuous region, for a finite and an infinite
-// cutoff. The hyperexponential's values must be bitwise equal. The
-// Pareto's evaluate u^(−α) as exp(−α·log u) with u = (t+θ)/θ, so below the
-// cutoff they may differ from math.Pow's by a few ε·(1 + α·log u)
-// relative; the integral's error is relative to its head term
-// θ/(α−1)·u^(1−α), since near the cutoff the head and the cutoff's tail
-// term cancel. At t <= 0, at the cutoff and beyond it they must be exact.
-func TestTailFuncMatchesConcreteMethods(t *testing.T) {
-	type concrete interface {
-		Interarrival
-		CCDF(float64) float64
-		CCDFAtLeast(float64) float64
-		IntegralCCDF(float64) float64
-	}
+// tailLaw is a law with the concrete methods its TailFunc is checked
+// against.
+type tailLaw interface {
+	Interarrival
+	CCDF(float64) float64
+	CCDFAtLeast(float64) float64
+	IntegralCCDF(float64) float64
+}
+
+// tailPoint is one evaluation of a law's TailFunc at x. tol is zero where
+// the three values must be bitwise equal to the concrete methods'; in the
+// Pareto's continuous region it is the relative tolerance, and head the
+// scale of the integral's error.
+type tailPoint struct {
+	law                 tailLaw
+	x, gt, ge, integral float64
+	tol, head           float64
+}
+
+// tailPoints evaluates TailFunc, the one law evaluation the solver's grid
+// tables read, at every regime boundary (negative, zero, continuous
+// region, the cutoff atom, beyond the cutoff) and at random points of the
+// continuous region, for a finite and an infinite cutoff and a
+// hyperexponential. The hyperexponential's values must be bitwise equal to
+// its concrete methods'. The Pareto's evaluate u^(−α) as exp(−α·log u)
+// with u = (t+θ)/θ, so below the cutoff they may differ from math.Pow's by
+// a few ε·(1 + α·log u) relative; the integral's error is relative to its
+// head term θ/(α−1)·u^(1−α), since near the cutoff the head and the
+// cutoff's tail term cancel. At t <= 0, at the cutoff and beyond it they
+// must be exact.
+func tailPoints(t *testing.T) []tailPoint {
+	t.Helper()
 	p := TruncatedPareto{Theta: 0.5, Alpha: 1.5, Cutoff: 3}
 	pinf := TruncatedPareto{Theta: 0.5, Alpha: 1.5, Cutoff: math.Inf(1)}
 	paper := TruncatedPareto{Theta: 0.0136, Alpha: 1.34, Cutoff: 10}
@@ -79,7 +93,8 @@ func TestTailFuncMatchesConcreteMethods(t *testing.T) {
 	points := []float64{-1, 0, 1e-9, 0.5, 1, 2.999, 3, 3.1, 10, 100, 1e6}
 	rng := rand.New(rand.NewSource(7))
 	const eps = 0x1p-52
-	for _, law := range []concrete{p, pinf, paper, h} {
+	var out []tailPoint
+	for _, law := range []tailLaw{p, pinf, paper, h} {
 		upper := math.Min(law.Upper(), 1e4)
 		xs := append([]float64(nil), points...)
 		for k := 0; k < 2000; k++ {
@@ -87,24 +102,51 @@ func TestTailFuncMatchesConcreteMethods(t *testing.T) {
 		}
 		tail := law.TailFunc()
 		for _, x := range xs {
-			gt, ge, integral := tail(x)
-			wantGt, wantGe, wantInt := law.CCDF(x), law.CCDFAtLeast(x), law.IntegralCCDF(x)
-			par, isPareto := law.(TruncatedPareto)
-			if !isPareto || x <= 0 || x >= par.Cutoff {
-				if gt != wantGt || ge != wantGe || integral != wantInt {
-					t.Errorf("%v TailFunc()(%v) = (%v, %v, %v), want exactly (%v, %v, %v)",
-						law, x, gt, ge, integral, wantGt, wantGe, wantInt)
-				}
-				continue
+			pt := tailPoint{law: law, x: x}
+			pt.gt, pt.ge, pt.integral = tail(x)
+			if par, isPareto := law.(TruncatedPareto); isPareto && x > 0 && x < par.Cutoff {
+				u := (x + par.Theta) / par.Theta
+				pt.tol = 4 * eps * (1 + par.Alpha*math.Log(u))
+				pt.head = par.Theta / (par.Alpha - 1) * math.Pow(u, 1-par.Alpha)
 			}
-			u := (x + par.Theta) / par.Theta
-			tol := 4 * eps * (1 + par.Alpha*math.Log(u))
-			head := par.Theta / (par.Alpha - 1) * math.Pow(u, 1-par.Alpha)
-			if math.Abs(gt-wantGt) > tol*wantGt || ge != gt ||
-				math.Abs(integral-wantInt) > tol*head {
-				t.Errorf("%v TailFunc()(%v) = (%v, %v, %v), want (%v, %v, %v) within %.3g relative",
-					law, x, gt, ge, integral, wantGt, wantGe, wantInt, tol)
-			}
+			out = append(out, pt)
+		}
+	}
+	return out
+}
+
+// TestCCDFBothBitwise is the contract of TailFunc's first two values,
+// Pr{T > t} and Pr{T >= t}, against CCDF and CCDFAtLeast: bitwise equal
+// wherever tailPoints asks for it, and in the Pareto's continuous region
+// within its tolerance of CCDF, with the two values equal.
+func TestCCDFBothBitwise(t *testing.T) {
+	for _, pt := range tailPoints(t) {
+		wantGt, wantGe := pt.law.CCDF(pt.x), pt.law.CCDFAtLeast(pt.x)
+		ok := pt.gt == wantGt && pt.ge == wantGe
+		if pt.tol > 0 {
+			ok = math.Abs(pt.gt-wantGt) <= pt.tol*wantGt && pt.ge == pt.gt
+		}
+		if !ok {
+			t.Errorf("%v TailFunc()(%v) = (%v, %v, ·), want (%v, %v, ·) within %.3g relative",
+				pt.law, pt.x, pt.gt, pt.ge, wantGt, wantGe, pt.tol)
+		}
+	}
+}
+
+// TestIntegralCCDFFuncBitwise is the contract of TailFunc's third value,
+// ∫_t^∞ Pr{T > s} ds, against IntegralCCDF: bitwise equal wherever
+// tailPoints asks for it, including clamped and beyond-cutoff inputs, and
+// in the Pareto's continuous region within its tolerance of the head term.
+func TestIntegralCCDFFuncBitwise(t *testing.T) {
+	for _, pt := range tailPoints(t) {
+		want := pt.law.IntegralCCDF(pt.x)
+		ok := pt.integral == want
+		if pt.tol > 0 {
+			ok = math.Abs(pt.integral-want) <= pt.tol*pt.head
+		}
+		if !ok {
+			t.Errorf("%v TailFunc()(%v) = (·, ·, %v), want (·, ·, %v) within %.3g of %v",
+				pt.law, pt.x, pt.integral, want, pt.tol, pt.head)
 		}
 	}
 }

@@ -112,7 +112,7 @@ func tableModels(t *testing.T) map[string]Model {
 // TestGridTablesMatchReference holds the one-pass tables to the per-point
 // math.Pow evaluation they replaced, at grids as coarse as one bin. A cdf
 // entry sums terms π_k·Pr{T ≷ t}, each within 4ε·(1 + α·log u) relative
-// of the reference (dist.TestTailFuncMatchesConcreteMethods); since
+// of the reference (dist.TestCCDFBothBitwise); since
 // log(u)·u^(−α) <= 1/(e·α), the terms' errors sum to at most 5.5ε, and the
 // two compensated sums' roundings add 2ε each, so the cdfs agree within
 // 10ε absolute. A loss entry moves by the law's error on each term's head
