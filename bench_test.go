@@ -222,6 +222,38 @@ func BenchmarkSolveNilRecorder(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveColdMTV times one cold default-config solve per op of a
+// Fig. 4 cell on MTVModel(1) at util 0.8: b = 3 s, Tc = 2.24 s, where a
+// bound process mixes slowly over hundreds of steps, and b = 1.47 s,
+// Tc = 0.86 s, whose cost is its refinements and tables. steps/op is the
+// solve's Lindley steps.
+func BenchmarkSolveColdMTV(b *testing.B) {
+	tm, err := lrd.MTVModel(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct{ buffer, cutoff float64 }{{3, 2.24}, {1.47, 0.86}} {
+		src, err := tm.Source(c.cutoff)
+		if err != nil {
+			b.Fatal(err)
+		}
+		q, err := lrd.NewQueueNormalized(src, 0.8, c.buffer)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("b%g-tc%g", c.buffer, c.cutoff), func(b *testing.B) {
+			var res lrd.Result
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if res, err = lrd.Solve(q, lrd.SolverConfig{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(res.Iterations), "steps/op")
+		})
+	}
+}
+
 // BenchmarkProvision times one inverse solve per op: the minimal buffer, up
 // to 2 s, at which the on/off source with H 0.9, 50 ms mean epochs and a
 // 1 s cutoff meets a 0.05 loss SLO at utilization 0.7. solves/op is the

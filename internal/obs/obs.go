@@ -47,6 +47,8 @@ const (
 	MetricSolverFinalBins       = "solver_final_bins"
 	MetricSolverStartBins       = "solver_start_bins"             // histogram: first rung M of each solve
 	MetricSolverCertifiedStarts = "solver_certified_starts_total" // cold solves whose upper process started at a certified exponential
+	MetricSolverJumpAttempts    = "solver_jump_attempts_total"    // certified-jump attempts, each also one step
+	MetricSolverJumpsAccepted   = "solver_jumps_accepted_total"   // bound processes whose jump was certified
 	MetricSolverRefines         = "solver_refines_total"
 	MetricSolverBins            = "solver_bins"      // gauge: current M
 	MetricSolverGap             = "solver_bound_gap" // gauge: relative gap

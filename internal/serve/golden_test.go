@@ -21,7 +21,7 @@ func TestCacheKeyGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "v1|mg=0:0.5,2:0.5|a=1.4|th=0.019999999999999997|tc=inf|c=1.25|B=0.625|model=fluid|cfg=40538ff9e67bc680"
+	const want = "v1|mg=0:0.5,2:0.5|a=1.4|th=0.019999999999999997|tc=inf|c=1.25|B=0.625|model=fluid|cfg=405390f9e67bc833"
 	if job.key != want {
 		t.Fatalf("cache key changed:\n got  %s\n want %s", job.key, want)
 	}
@@ -33,7 +33,7 @@ func TestCacheKeyGolden(t *testing.T) {
 // replaying.
 func TestConfigHashGolden(t *testing.T) {
 	cfg := solver.Config{InitialBins: 64, MaxBins: 1024, RelGap: 0.05, MaxIterations: 20000, MaxDuration: 2 * time.Second}
-	if got, want := solver.ConfigHash(cfg), "2e5eccb19b7359bc"; got != want {
+	if got, want := solver.ConfigHash(cfg), "2e5ecdb19b735b6f"; got != want {
 		t.Fatalf("ConfigHash(%+v) = %s, want %s", cfg, got, want)
 	}
 }

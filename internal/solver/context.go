@@ -118,7 +118,7 @@ func (it *Iterator) RunContext(ctx context.Context) (Result, error) {
 		}
 	}
 	ctx, finish := obs.StartSpan(ctx, "solver.solve")
-	r, err := it.runContext(ctx)
+	r, err := it.runContext(ctx, (*Iterator).advance)
 	it.observeFinish(r, err)
 	if obs.Traced(ctx) {
 		finish(map[string]string{
@@ -165,7 +165,11 @@ func (it *Iterator) observeFinish(r Result, err error) {
 	}
 }
 
-func (it *Iterator) runContext(ctx context.Context) (Result, error) {
+// runContext is the solve loop: until the stopping rule holds or a budget
+// runs out, it runs one iteration by next — advance, which steps or
+// attempts a certified jump (jump.go), or Step for the tests' unaccelerated
+// reference — then refines once both committed bounds have stalled.
+func (it *Iterator) runContext(ctx context.Context, next func(*Iterator) error) (Result, error) {
 	if it.cfg.MaxDuration > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, it.cfg.MaxDuration)
@@ -183,7 +187,7 @@ func (it *Iterator) runContext(ctx context.Context) (Result, error) {
 		if err := ctx.Err(); err != nil {
 			return it.degraded(degradeReasonFromContext(err)), nil
 		}
-		if err := it.Step(); err != nil {
+		if err := next(it); err != nil {
 			return Result{}, err
 		}
 		// Stationarity in n at this resolution: both bounds barely moving.

@@ -69,7 +69,9 @@ func TestSolveContextDegradedPaths(t *testing.T) {
 
 // TestDegradedMatchesUninterruptedPrefix: a solve stopped by its iteration
 // budget reports exactly the bounds an uninterrupted iterator holds after
-// the same number of steps — interruption never perturbs the numerics.
+// the same number of iterations of the solve loop's own per-iteration
+// method (budget 4 includes the first jump attempt) — interruption never
+// perturbs the numerics.
 func TestDegradedMatchesUninterruptedPrefix(t *testing.T) {
 	q := lossyQueue(t)
 	// Budgets small enough that no refinement (stall >= 5) can trigger.
@@ -85,7 +87,7 @@ func TestDegradedMatchesUninterruptedPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < budget; i++ {
-			if err := ref.Step(); err != nil {
+			if err := ref.advance(); err != nil {
 				t.Fatal(err)
 			}
 		}

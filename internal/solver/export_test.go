@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"slices"
 	"testing"
 )
 
@@ -31,14 +32,16 @@ func GoldenCases(t testing.TB) []GoldenCase {
 	return out
 }
 
-// SolvePaperStart solves m from the paper's start: the ladder from
-// InitialBins, the lower process empty and the upper one full.
+// SolvePaperStart solves m from the paper's start, unaccelerated: the
+// ladder from InitialBins, the lower process empty and the upper one full,
+// and plain steps under runContext's stop and refine rules.
 func SolvePaperStart(ctx context.Context, m Model, cfg Config) (Result, error) {
 	it, err := newPaperStartIterator(m, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	return it.solve(ctx)
+	defer it.release()
+	return it.runContext(ctx, (*Iterator).Step)
 }
 
 // newPaperStartIterator builds m's iterator at InitialBins with the
@@ -53,4 +56,61 @@ func newPaperStartIterator(m Model, cfg Config) (*Iterator, error) {
 	it.qh[it.bins] = 1
 	it.lowerLoss, it.upperLoss = it.lossOf(it.ql, it.qh, 1, 1)
 	return it, nil
+}
+
+// DenseCertified checks a jump candidate against an independent dense step
+// (see denseCertified).
+var DenseCertified = denseCertified
+
+// JumpCheck is one bound process's part in a jump attempt that had a
+// candidate for it.
+type JumpCheck struct {
+	Upper    bool
+	Accepted bool
+	Bins     int
+	// Candidate is the candidate pmf q*, and Increment the process's
+	// rounded increment pmf, index l ↦ w(l−M).
+	Candidate, Increment []float64
+	// Before and After are the process's iterate before and after the
+	// attempt.
+	Before, After []float64
+}
+
+// SolveWatchingJumps solves m cold as SolveModelContext does, under
+// runContext and advance, and passes each process's part in every jump
+// attempt that had a candidate for it to watch.
+func SolveWatchingJumps(m Model, cfg Config, watch func(JumpCheck)) (Result, error) {
+	it, err := NewModelIterator(m, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	defer it.release()
+	return it.runContext(context.Background(), func(it *Iterator) error {
+		if it.plain < jumpHistory {
+			return it.advance()
+		}
+		beforeL, beforeH := slices.Clone(it.ql), slices.Clone(it.qh)
+		lower, upper, err := it.jump()
+		switch {
+		case err != nil:
+			return err
+		case lower == jumpNone && upper == jumpNone:
+			return it.advance()
+		}
+		for _, p := range []struct {
+			o             jumpOutcome
+			upper         bool
+			cand, w       []float64
+			before, after []float64
+		}{
+			{lower, false, it.jumpL.cand, it.wl, beforeL, it.ql},
+			{upper, true, it.jumpH.cand, it.wh, beforeH, it.qh},
+		} {
+			if p.o != jumpNone {
+				watch(JumpCheck{p.upper, p.o == jumpAccepted, it.bins,
+					slices.Clone(p.cand), slices.Clone(p.w), p.before, slices.Clone(p.after)})
+			}
+		}
+		return nil
+	})
 }

@@ -45,4 +45,6 @@ func ConfigHash(cfg Config) string {
 // run decimation in frequency, with no permutation (fft.Pair). Revision 4:
 // the cdf and loss tables are built in one pass from one law evaluation
 // per point, the truncated Pareto's power taken as exp∘log (gridTables).
-const solverRevision = 4
+// Revision 5: the solve loop attempts certified jumps toward each bound's
+// fixed point (jump.go).
+const solverRevision = 5

@@ -70,6 +70,15 @@ const (
 // committed: finite mass drifts within tolerance, finite ordered bounds,
 // and monotone bound tightening relative to the current (pre-step) bounds.
 func (it *Iterator) checkStepHealth(driftL, driftH, newLo, newHi float64) error {
+	if err := it.checkMass(driftL, driftH, newLo, newHi); err != nil {
+		return err
+	}
+	return it.checkBounds(newLo, newHi)
+}
+
+// checkMass validates a step's raw outcome: finite mass drifts within
+// tolerance and finite bound values.
+func (it *Iterator) checkMass(driftL, driftH, newLo, newHi float64) error {
 	if math.IsNaN(driftL) || math.IsNaN(driftH) || math.IsInf(driftL, 0) || math.IsInf(driftH, 0) {
 		return it.numericErr(HealthNotFinite, "occupancy mass drift not finite (lower %v, upper %v)", driftL, driftH)
 	}
@@ -79,6 +88,12 @@ func (it *Iterator) checkStepHealth(driftL, driftH, newLo, newHi float64) error 
 	if math.IsNaN(newLo) || math.IsNaN(newHi) || math.IsInf(newLo, 0) || math.IsInf(newHi, 0) {
 		return it.numericErr(HealthNotFinite, "loss bounds not finite (lower %v, upper %v)", newLo, newHi)
 	}
+	return nil
+}
+
+// checkBounds validates the bounds a step would commit: ordered, and
+// tightening monotonically relative to the current (pre-step) bounds.
+func (it *Iterator) checkBounds(newLo, newHi float64) error {
 	if newLo > newHi*(1+boundOrderRelTol)+invariantAbsTol {
 		return it.numericErr(HealthBoundOrder, "lower bound %v exceeds upper bound %v", newLo, newHi)
 	}

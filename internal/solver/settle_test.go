@@ -136,7 +136,7 @@ func TestStepFaultPointSeesRawVectors(t *testing.T) {
 	negatives := 0
 	for n := 0; n < steps; n++ {
 		wantL, wantH := make([]float64, it.Bins()+1), make([]float64, it.Bins()+1)
-		it.stepRaw(wantL, wantH)
+		it.stepRaw(it.ql, it.qh, wantL, wantH)
 		seen = seen[:0]
 		if err := it.Step(); err != nil {
 			t.Fatal(err)

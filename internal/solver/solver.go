@@ -31,6 +31,15 @@
 // given resolution, M is doubled and the iteration warm-restarts from the
 // coarse occupancy vectors (footnote 3 of the paper).
 //
+// The solve loop (runContext) runs Lindley steps and, after every three
+// plain steps at a rung, one certified jump (jump.go): it extrapolates each
+// process's occupancy ccdf along its last increment, steps both candidates
+// at the cost of one step, and keeps a candidate only if that step shows it
+// to be a sub-fixed point of the lower map or a super-fixed point of the
+// upper one. Such a candidate lies below (above) the stationary occupancy,
+// so every later iterate still bounds the loss as Prop. II.1 requires; an
+// uncertified one is dropped. Iterator.Step stays the plain step.
+//
 // # Robustness contract
 //
 // Every solve is interruptible, budgeted, and self-checking:
@@ -441,6 +450,11 @@ type Iterator struct {
 	// the solve stops as soon as its bracket lies on one side of it. Zero
 	// (every other entry point) leaves the stopping rule untouched.
 	threshold float64
+
+	// Certified jumps (jump.go): each process's history and schedule, and
+	// the plain steps since the last attempt or Refine.
+	jumpL, jumpH jumpState
+	plain        int
 }
 
 // NewIterator validates the queue and prepares the initial resolution.
@@ -479,6 +493,8 @@ func newIterator(m Model, cfg Config, bins int) (*Iterator, error) {
 		id:          solveSeq.Add(1),
 		start:       time.Now(),
 		scratch:     borrowScratch(cfg.Recorder),
+		jumpL:       jumpState{scale: jumpScale0},
+		jumpH:       jumpState{scale: jumpScale0},
 	}
 	it.setResolution(bins)
 	if err := it.validatePMF("lower increment", it.wl); err != nil {
@@ -531,12 +547,13 @@ func (it *Iterator) release() {
 	}
 	it.scratch = nil
 	for _, b := range [...][]float64{it.ql, it.qh, it.qlNext, it.qhNext, it.wl, it.wh,
-		it.loss, it.cl, it.cc, it.headL, it.tailL, it.headH, it.tailH} {
+		it.loss, it.cl, it.cc, it.headL, it.tailL, it.headH, it.tailH, it.jumpL.cand, it.jumpH.cand} {
 		s.putFloat(b)
 	}
 	it.ql, it.qh, it.qlNext, it.qhNext = nil, nil, nil, nil
 	it.wl, it.wh, it.loss, it.cl, it.cc = nil, nil, nil, nil, nil
 	it.headL, it.tailL, it.headH, it.tailH = nil, nil, nil, nil
+	it.jumpL.cand, it.jumpH.cand = nil, nil
 	scratchPool.Put(s)
 }
 
@@ -655,7 +672,7 @@ func (it *Iterator) Step() error {
 		it.qhNext = it.scratch.getFloat(n)
 	}
 	ql, qh := it.qlNext[:n], it.qhNext[:n]
-	it.stepRaw(ql, qh)
+	it.stepRaw(it.ql, it.qh, ql, qh)
 	faultinject.Apply(faultinject.SolverConvolution, ql)
 	faultinject.Apply(faultinject.SolverConvolution, qh)
 	driftL, driftH, newLo, newHi := it.settle(ql, qh)
@@ -676,34 +693,42 @@ func (it *Iterator) Step() error {
 	it.qh, it.qhNext = qh, it.qh
 	it.lowerLoss = newLo
 	it.setUpper(newHi)
+	it.counted(stepStart, driftL, driftH, newLo, newHi)
+	return nil
+}
+
+// counted counts a committed iteration that began at start and reports it:
+// the step count, time and mass drifts and the gap of its stepped bounds
+// lo and hi to the Recorder, and a point to the Trace.
+func (it *Iterator) counted(start time.Time, driftL, driftH, lo, hi float64) {
 	it.iterations++
 	if rec := it.cfg.Recorder; rec != nil {
 		rec.Add(obs.MetricSolverSteps, 1)
-		rec.Observe(obs.MetricSolverStepSeconds, time.Since(stepStart).Seconds())
+		rec.Observe(obs.MetricSolverStepSeconds, time.Since(start).Seconds())
 		rec.Observe(obs.MetricSolverMassDrift, math.Abs(driftL))
 		rec.Observe(obs.MetricSolverMassDrift, math.Abs(driftH))
-		rec.Set(obs.MetricSolverGap, relativeGap(newLo, newHi))
+		rec.Set(obs.MetricSolverGap, relativeGap(lo, hi))
 	}
 	if it.cfg.Trace != nil {
 		it.cfg.Trace(it.tracePoint(false))
 	}
-	return nil
 }
 
-// stepRaw writes Eq. (19) for both processes at once into ql and qh
-// (length M+1), before the clamp and renormalization of settle. The linear
-// convolution q ⊛ w has support [0, 3M], its index k the occupancy
-// (k−M)·d. Bins 1..M−1 are its entries M+1..2M−1, which read w[0:2M) only;
-// the N-point circular convolution with w[0:2M), N ≥ 2M, equals them,
-// because for k in that range neither k−N nor k+N lies in the support.
-// Bins 0 and M gather everything at or below 0 and at or above B: exact
-// O(M) sums over the fold tables, free of transform roundoff.
-func (it *Iterator) stepRaw(ql, qh []float64) {
+// stepRaw writes Eq. (19) for both processes at once, stepping the pmfs ql
+// and qh into outL and outH (all of length M+1), before the clamp and
+// renormalization of settle. The linear convolution q ⊛ w has support
+// [0, 3M], its index k the occupancy (k−M)·d. Bins 1..M−1 are its entries
+// M+1..2M−1, which read w[0:2M) only; the N-point circular convolution
+// with w[0:2M), N ≥ 2M, equals them, because for k in that range neither
+// k−N nor k+N lies in the support. Bins 0 and M gather everything at or
+// below 0 and at or above B: exact O(M) sums over the fold tables, free of
+// transform roundoff.
+func (it *Iterator) stepRaw(ql, qh, outL, outH []float64) {
 	m := it.bins
-	y := it.scratch.pair.Convolve(it.ql, it.qh)
-	ql[0], ql[m], qh[0], qh[m] = it.ends()
+	y := it.scratch.pair.Convolve(ql, qh)
+	outL[0], outL[m], outH[0], outH[m] = it.ends(ql, qh)
 	for j := 1; j < m; j++ {
-		ql[j], qh[j] = real(y[m+j]), imag(y[m+j])
+		outL[j], outH[j] = real(y[m+j]), imag(y[m+j])
 	}
 }
 
@@ -753,11 +778,13 @@ func relativeGap(lo, hi float64) float64 {
 // Refine doubles the resolution, re-projecting the occupancy vectors onto
 // the finer grid (each coarse atom j·d sits exactly on fine grid point 2j,
 // so the projection is exact and the bound properties are preserved —
-// footnote 3 of the paper). It returns false if MaxBins would be exceeded.
+// footnote 3 of the paper). The jump history restarts (jump.go). It returns
+// false if MaxBins would be exceeded.
 func (it *Iterator) Refine() bool {
 	if it.bins*2 > it.cfg.MaxBins {
 		return false
 	}
+	it.plain = 0
 	old := it.bins
 	oldQl, oldQh := it.ql, it.qh
 	it.setResolution(old * 2)
@@ -830,13 +857,12 @@ func relChange(prev, cur float64) float64 {
 	return math.Abs(cur-prev) / den
 }
 
-// ends returns the mass one step moves each process's occupancy pmf to or
+// ends returns the mass one step moves the occupancy pmfs ql and qh to or
 // below 0 and to or above B: the compensated sums Σ q[i]·head[i] and
 // Σ q[i]·tail[i] over foldSums' tables, lower process first. The four sums
 // are independent, so one loop runs them all.
-func (it *Iterator) ends() (lowL, highL, lowH, highH float64) {
-	ql := it.ql
-	qh := it.qh[:len(ql)]
+func (it *Iterator) ends(ql, qh []float64) (lowL, highL, lowH, highH float64) {
+	qh = qh[:len(ql)]
 	headL, tailL := it.headL[:len(ql)], it.tailL[:len(ql)]
 	headH, tailH := it.headH[:len(ql)], it.tailH[:len(ql)]
 	var accLowL, accHighL, accLowH, accHighH numerics.Accumulator

@@ -108,7 +108,7 @@ func TestStepMatchesNaiveConvolution(t *testing.T) {
 		wl, wh := randomPMF(rng, 2*m+1), randomPMF(rng, 2*m+1)
 		it := stepIterator(t, m, ql, qh, wl, wh)
 		rawL, rawH := make([]float64, m+1), make([]float64, m+1)
-		it.stepRaw(rawL, rawH)
+		it.stepRaw(it.ql, it.qh, rawL, rawH)
 		for _, p := range []struct {
 			name string
 			raw  []float64
@@ -152,7 +152,7 @@ func TestStepProcessesDoNotMix(t *testing.T) {
 	qh[m] += 1 - 1e-3
 	it := stepIterator(t, m, ql, qh, wl, wh)
 	rawL, rawH := make([]float64, m+1), make([]float64, m+1)
-	it.stepRaw(rawL, rawH)
+	it.stepRaw(it.ql, it.qh, rawL, rawH)
 	for j := m/2 + 1; j <= m; j++ {
 		if v := math.Abs(rawL[j]); v > 1e-16 {
 			t.Errorf("lower bin %d, unreachable from 0, reads %g", j, rawL[j])
